@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .lambda_frame import PulseEnvelope, rotation_angle, solve_xmax
+from .lambda_frame import (PulseEnvelope, hamiltonian, rotation_angle,
+                           solve_xmax)
 
 MAX_PHASE_STEP = 0.1  # rad of S advance per RK4 step
 
@@ -62,7 +63,9 @@ def _stage_tables(chi, x_max, env, n_steps):
 
 
 def _check_resolution(chi, x_max, h, allow_coarse):
-    peak = chi * math.sqrt(1.0 + 4.0 * x_max * x_max) * h
+    # chi and x_max may be arrays of paired points; the guard bounds the
+    # largest per-point phase advance
+    peak = float(np.max(chi * np.sqrt(1.0 + 4.0 * x_max * x_max))) * h
     if peak > MAX_PHASE_STEP and not allow_coarse:
         raise NumericalError(
             "phase advance %.3f rad per step exceeds %.2f; "
@@ -166,7 +169,7 @@ def integrate_amplitudes_batch(chi, x_max, env=None, steps_per_unit=2000,
         env = PulseEnvelope()
     n = int(round(2.0 * env.u_b * steps_per_unit))
     h = 2.0 * env.u_b / n
-    _check_resolution(float(np.max(chi)), float(np.max(x_max)), h, allow_coarse)
+    _check_resolution(chi, x_max, h, allow_coarse)
 
     u = np.linspace(-env.u_b, env.u_b, 2 * n + 1)
     f = env.value(u)[None, :]
@@ -274,13 +277,8 @@ def integrate_bare_schrodinger(chi, x_max, alpha=0.0, beta=math.pi / 4,
 
     ea = cmath.exp(1j * alpha)
     cb, sb = math.cos(beta), math.sin(beta)
-    coupling = np.zeros((3, 3), dtype=complex)
-    coupling[0, 2] = cb * ea
-    coupling[1, 2] = sb
-    coupling[2, 0] = cb * ea.conjugate()
-    coupling[2, 1] = sb
-    bare = np.zeros((3, 3), dtype=complex)
-    bare[2, 2] = 1.0
+    coupling = hamiltonian(cb, sb, 0.0, alpha)
+    bare = hamiltonian(0.0, 0.0, 1.0)
 
     def rhs(u, y):
         psi = y[:3] + 1j * y[3:]

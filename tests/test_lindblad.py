@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import bare_final_state
 
+import ramansim.lindblad as lindblad
 from ramansim import (ConfigurationError, DecayConfig, DriveConfig,
                       NumericalError, adiabatic_populations,
                       density_from_state, estimate_spontaneous_error,
@@ -196,6 +197,62 @@ class TestDecayRun:
     def test_purity_decreases(self, decay_run):
         _, records = decay_run
         assert records[-1].purity < records[0].purity
+
+
+def master_oracle(rho0, drive, decay):
+    # independent DOP853 integration of the complex master equation with
+    # the jump operators L_i = sqrt(gamma_i) |i><X| written out
+    from scipy.integrate import solve_ivp
+
+    pf = decay.prefactor
+    jumps = []
+    for i, g in ((0, decay.gamma0), (1, decay.gamma1)):
+        op = np.zeros((3, 3), dtype=complex)
+        op[i, 2] = math.sqrt(g)
+        jumps.append(op)
+
+    def rhs(t, y):
+        rho = (y[:9] + 1j * y[9:]).reshape(3, 3)
+        hm = drive.hamiltonian_at(t)
+        d = -1j * (hm @ rho - rho @ hm)
+        for op in jumps:
+            ld = op.conj().T @ op
+            d += pf * (2.0 * op @ rho @ op.conj().T - ld @ rho - rho @ ld)
+        d = d.ravel()
+        return np.concatenate([d.real, d.imag])
+
+    y0 = np.asarray(rho0, dtype=complex).ravel()
+    sol = solve_ivp(rhs, (drive.t_initial, drive.t_final),
+                    np.concatenate([y0.real, y0.imag]), method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return (sol.y[:9, -1] + 1j * sol.y[9:, -1]).reshape(3, 3)
+
+
+class TestStepMatrixMarch:
+
+    @pytest.fixture(scope="class")
+    def generic_run(self):
+        drive = DriveConfig.for_rotation(math.pi, DETUNING, 0.0133)
+        decay = DecayConfig(gamma0=5.0, gamma1=5.0)
+        rho0 = density_from_state(qubit_state(1.0, 0.3))
+        rho_f, _ = propagate_master(rho0, drive, decay)
+        return rho0, drive, decay, rho_f
+
+    def test_matches_dop853_oracle(self, generic_run):
+        rho0, drive, decay, rho_f = generic_run
+        oracle = master_oracle(rho0, drive, decay)
+        assert np.max(np.abs(rho_f - oracle)) <= 1e-9
+
+    def test_result_exactly_hermitian(self, generic_run):
+        rho_f = generic_run[3]
+        assert np.array_equal(rho_f, rho_f.conj().T)
+
+    def test_trace_drift_guard_fires(self, monkeypatch, worked_drive):
+        monkeypatch.setattr(lindblad, "TRACE_TOL", 1e-18)
+        decay = DecayConfig(gamma0=5.0, gamma1=5.0)
+        with pytest.raises(NumericalError, match="trace drift"):
+            propagate_master(rho_ground(), worked_drive, decay)
 
 
 class TestGateErrorMixed:

@@ -90,6 +90,16 @@ class TestSweepErrorVsChi:
         assert angles[0] < angles[1]
         assert errors[0] < errors[1]
 
+    def test_resolution_guard_checks_each_point(self):
+        # the largest chi and the largest x_max come from different points;
+        # each point alone is inside the phase-step guard
+        chis = [5.0, 180.0]
+        table = sweep_error_vs_chi(2.0 * math.pi, chis)
+        assert len(table) == 2
+        for row, chi in zip(table.rows, chis):
+            direct = nonadiabatic_error(2.0 * math.pi, chi)
+            assert row[3] == pytest.approx(direct.error, rel=1e-12, abs=1e-15)
+
     def test_decay_requires_detuning(self):
         with pytest.raises(ConfigurationError):
             sweep_error_vs_chi(math.pi, [20.0],
