@@ -28,7 +28,7 @@ from .lambda_frame import (MEV_TO_INV_NS_PHYSICAL, DriveConfig, PhysicalUnits,
                            PulseEnvelope, RotationSpec, eigensystem,
                            rotation_angle, rotation_axis, solve_xmax)
 from .lindblad import DecayConfig, density_from_state, gate_error_mixed, qubit_state
-from .nonadiabatic import nonadiabatic_error
+from .nonadiabatic import gate_error_pure, integrate_amplitudes
 from .sweeps import (ratio_grid, records_to_table, sweep_error_vs_chi,
                      sweep_error_vs_delta, sweep_error_vs_gamma,
                      sweep_xmax_vs_chi, trace_run)
@@ -209,7 +209,10 @@ def _fmt(v):
 
 
 def write_table(table, path, command=None):
-    """CSV with '# key=value' metadata lines; written atomically."""
+    """CSV with '# key=value' metadata lines; written atomically.
+
+    Raises ConfigurationError when the file cannot be written.
+    """
     lines = []
     if command is not None:
         lines.append("# command=%s" % command)
@@ -223,15 +226,19 @@ def write_table(table, path, command=None):
         sys.stdout.write(text)
         return
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".part")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigurationError("cannot write %s: %s"
+                                 % (path, exc.strerror or exc)) from None
 
 
 def _print_kv(pairs):
@@ -274,11 +281,17 @@ def cmd_gate(cfg):
     decay = cfg.decay()
     if decay.total == 0.0:
         cfg.resolve_timing()
-        res = nonadiabatic_error(cfg.angle, cfg.chi, cfg.envelope,
-                                 steps_per_unit=cfg.steps_per_unit)
+        if not cfg.angle > 0.0:
+            raise ConfigurationError("angle must be positive")
+        # nonadiabatic_error's composition, calibrating once for both the
+        # error and the printed x_max
+        x = solve_xmax(cfg.angle, cfg.chi, cfg.envelope)
+        amps = integrate_amplitudes(cfg.chi, x, cfg.envelope,
+                                    steps_per_unit=cfg.steps_per_unit)
+        res = gate_error_pure(amps.a2, amps.a3)
         _print_kv([
             ("chi", cfg.chi),
-            ("x_max", solve_xmax(cfg.angle, cfg.chi, cfg.envelope)),
+            ("x_max", x),
             ("error", res.error),
             ("abs_c", abs(res.c)),
             ("abs_d", abs(res.d)),
@@ -418,12 +431,12 @@ def build_parser(units):
         p.add_argument("--prefactor", type=float, choices=(0.5, 1.0),
                        default=0.5, help="dissipator prefactor")
 
-    def integrator_opts(p):
+    def steps_opt(p):
         p.add_argument("--steps-per-unit", type=int, default=2000)
+
+    def dt_opt(p):
         p.add_argument("--dt", type=parse_time, default=None,
                        help="master-equation step (ps or ns suffix)")
-        p.add_argument("--grid", type=parse_grid, default=(17, 32),
-                       help="Bloch sampling grid, e.g. 17x32")
 
     p = sub.add_parser("frame", help="print calibration and eigensystem")
     common(p)
@@ -434,14 +447,17 @@ def build_parser(units):
     common(p)
     timing(p)
     decay_opts(p)
-    integrator_opts(p)
+    steps_opt(p)
+    dt_opt(p)
+    p.add_argument("--grid", type=parse_grid, default=(17, 32),
+                   help="Bloch sampling grid, e.g. 17x32")
     p.set_defaults(handler="gate")
 
     p = sub.add_parser("trace", help="time series CSV of one run")
     common(p)
     timing(p)
     decay_opts(p)
-    integrator_opts(p)
+    dt_opt(p)
     p.add_argument("--initial", type=parse_initial, default=None,
                    help="initial qubit state: 0,1,+,-,+i,-i or 'theta,phi'")
     p.add_argument("--stride", type=int, default=10,
@@ -463,7 +479,8 @@ def build_parser(units):
     p.add_argument("--delta", type=energy, default=None,
                    help="fixed detuning (needed when gamma > 0)")
     decay_opts(p)
-    integrator_opts(p)
+    steps_opt(p)
+    dt_opt(p)
     p.set_defaults(handler="sweep-chi")
 
     def grid_sweep(name, help_text):
@@ -476,7 +493,7 @@ def build_parser(units):
                        help="total decay rates (comma list or range, ns^-1)")
         q.add_argument("--prefactor", type=float, choices=(0.5, 1.0),
                        default=0.5)
-        q.add_argument("--dt", type=parse_time, default=None)
+        dt_opt(q)
         q.add_argument("--no-regime-guard", dest="enforce_regime",
                        action="store_false",
                        help="demote the chi >= 20 guard to a warning")

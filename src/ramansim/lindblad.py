@@ -178,17 +178,22 @@ def _generators(drive, decay):
     return _to_coords(out0), _to_coords(out1)
 
 
+def _rk4_deltas(k1, a2, a3, a4, h, mul=np.matmul):
+    # RK4 on a linear system y' = A(t) y collapses to one matrix I + D per
+    # step; returns D from stacks k1, a2, a3, a4 of A at each step's four
+    # stages, with mul multiplying two such stacks
+    eye = np.eye(k1.shape[-1])
+    k2 = mul(a2, eye + 0.5 * h * k1)
+    k3 = mul(a3, eye + 0.5 * h * k2)
+    k4 = mul(a4, eye + h * k3)
+    return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def _step_matrices(a0, a1, f, h):
-    # RK4 on the linear system y' = (a0 + f a1) y collapses to one matrix
-    # per step; f holds the 2c+1 envelope values at the chunk's stages
-    eye = np.eye(9)
+    # the generator a0 + f a1 at the 2c+1 envelope values of a chunk's stages
     a = a0 + f[:, None, None] * a1
     am = a[1::2]
-    k1 = a[0:-1:2]
-    k2 = am @ (eye + 0.5 * h * k1)
-    k3 = am @ (eye + 0.5 * h * k2)
-    k4 = a[2::2] @ (eye + h * k3)
-    return eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return np.eye(9) + _rk4_deltas(a[0:-1:2], am, am, a[2::2], h)
 
 
 def _propagate_batch(ops, drive, decay, dt, record_hook=None, record_stride=0):

@@ -1,9 +1,7 @@
 """Parameter sweeps producing deterministic, re-runnable data tables.
 
 Every operation returns a SweepTable whose metadata records the complete
-input set, so any table can be regenerated bit-identically.  Sweep points
-are independent; the RAMAN_SIM_THREADS environment variable caps how many
-are evaluated concurrently (results are ordered by input index either way).
+input set, so any table can be regenerated bit-identically.
 
 Decay sweeps take the total rate gamma = gamma0 + gamma1 as the swept
 variable and split it equally between the two channels.
@@ -12,7 +10,6 @@ variable and split it equally between the two channels.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -98,27 +95,6 @@ def fit_inverse(x, y):
     return FitResult(model="inverse", coefficient=c,
                      r_squared=min(1.0, max(0.0, r2)),
                      residual_max=float(rel))
-
-
-def _max_workers():
-    raw = os.environ.get("RAMAN_SIM_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn("ignoring non-integer RAMAN_SIM_THREADS=%r" % raw)
-        return 1
-
-
-def _map_points(fn, items):
-    # results are always in input order, never completion order
-    workers = _max_workers()
-    if workers <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def _check_regime(chi, enforce):
@@ -239,7 +215,7 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
         est = angle * decay.total / detuning
         return (angle, chi, tau, x, err, est, err / est)
 
-    rows = tuple(_map_points(evaluate, points))
+    rows = tuple(evaluate(pt) for pt in points)
     return SweepTable(
         name="error-vs-chi",
         columns=("angle", "chi", "tau", "x_max", "error", "estimate", "ratio"),
@@ -281,7 +257,7 @@ def _decay_grid_rows(angle, tau, detunings, gammas, prefactor, env, dt,
         err = gate_error_mixed(drive, decay, target=target, dt=dt)
         return det, gamma, err, floor
 
-    return detunings, gammas, _map_points(evaluate, points)
+    return detunings, gammas, [evaluate(pt) for pt in points]
 
 
 def _decay_grid_metadata(table, angle, tau, detunings, gammas, prefactor,

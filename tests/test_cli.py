@@ -6,7 +6,9 @@ import shlex
 import numpy as np
 import pytest
 
-from ramansim import ConfigurationError, PhysicalUnits
+import ramansim.cli
+from ramansim import (ConfigurationError, PhysicalUnits, nonadiabatic_error,
+                      solve_xmax)
 from ramansim.cli import (make_energy_parser, make_list_parser, parse_angle,
                           parse_grid, parse_initial, parse_rate, parse_time,
                           run)
@@ -100,6 +102,49 @@ class TestExitCodes:
         kv = kv_from_stdout(capsys.readouterr().out)
         assert float(kv["error"]) < 1e-4
         assert float(kv["p_star"]) == pytest.approx(0.5, abs=0.01)
+
+    def test_gate_pure_calibrates_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_xmax(*args, **kwargs)
+
+        monkeypatch.setattr(ramansim.cli, "solve_xmax", counting)
+        monkeypatch.setattr(ramansim.nonadiabatic, "solve_xmax", counting)
+        assert run(["gate", "--angle", "pi", "--chi", "21"]) == 0
+        assert len(calls) == 1
+        kv = kv_from_stdout(capsys.readouterr().out)
+        res = nonadiabatic_error(math.pi, 21.0)
+        assert kv["x_max"] == "%.12g" % solve_xmax(math.pi, 21.0)
+        assert kv["error"] == "%.12g" % res.error
+        assert kv["abs_c"] == "%.12g" % abs(res.c)
+        assert kv["abs_d"] == "%.12g" % abs(res.d)
+        assert kv["p_star"] == "%.12g" % res.p_star
+
+    def test_gate_pure_rejects_zero_angle(self, capsys):
+        assert run(["gate", "--angle", "0", "--chi", "21"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--angle", "pi", "--delta", "1meV", "--chi", "15",
+         "--grid", "3x3"],
+        ["trace", "--angle", "pi", "--delta", "1meV", "--chi", "15",
+         "--steps-per-unit", "7"],
+        ["sweep-chi", "--angle", "pi", "--chi", "15", "--grid", "3x3"],
+    ])
+    def test_unread_flags_rejected(self, argv, capsys):
+        assert run(argv) == 2
+        capsys.readouterr()
+
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        rc = run(["sweep-xmax", "--angle", "pi", "--chi", "20,21",
+                  "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write")
+        assert not (tmp_path / "no").exists()
 
     def test_missing_unit_is_usage_error(self, capsys):
         rc = run(["gate", "--angle", "pi", "--delta", "1", "--tau", "10ps"])

@@ -5,13 +5,45 @@ import math
 import numpy as np
 import pytest
 
-from ramansim import (ConfigurationError, NumericalError, gate_error_pure,
-                      integrate_amplitudes, integrate_amplitudes_batch,
-                      integrate_bare_schrodinger, nonadiabatic_error,
-                      solve_xmax)
+from ramansim import (ConfigurationError, NumericalError, PulseEnvelope,
+                      gate_error_pure, integrate_amplitudes,
+                      integrate_amplitudes_batch, integrate_bare_schrodinger,
+                      nonadiabatic_error, solve_xmax)
 
 # frozen from an independent adaptive integration of the same system
 E_PI_15 = 1.2515490443e-05
+
+# (chi, x_max, a2, a3, S) from the per-step RK4 loop that preceded the
+# step-matrix kernel, at 2000 steps per unit; x_max is frozen too so that
+# a change of calibration cannot move these rows
+FROZEN_RK4 = (
+    (15.0, 0.39080458847774935, 0.9999750129781935+0.007062977807053161j,
+     0.00025207973986679294-0.00015562637416822696j, 96.28318530717208),
+    (21.0, 0.32620370208996974, 0.9999923629428653+0.0039002307819165803j,
+     4.175710535116886e-05-0.000245992143371199j, 132.28318530717806),
+    (2.0, 0.8376500397130258, 0.941418840183566+0.0953031491061744j,
+     0.31060859815583164-0.0903890251609076j, 15.14159265358849),
+    (5.0, 1.132441765704698, 0.997447742816182+0.058421168381872605j,
+     -0.02669324601665161-0.031183939021444913j, 42.56637061436093),
+)
+# u_b = 2.5 at 301 steps per unit: n = 1505, odd and not a chunk multiple
+FROZEN_RK4_ODD = (5.0, 0.7349874207980065,
+                  0.9989595103953564+0.04558620007000196j,
+                  -8.8855359163288e-05-0.0013368092291520365j,
+                  31.28318530718255)
+# from the previous vectorized loop, one call over both points
+FROZEN_RK4_BATCH = (
+    (8.0, 0.37738068816497616, 0.9999169709659889+0.012848460797242382j,
+     0.0004173863957369716-0.000891076837946455j, 51.14159265358325),
+    (21.0, 0.2269417371230702, 0.9999976081630544+0.0021871590007936786j,
+     1.889847419621456e-06+3.208011302439932e-07j, 129.14159265359407),
+)
+
+
+def _assert_frozen(a2, a3, phase, row):
+    assert abs(a2 - row[2]) < 1e-12
+    assert abs(a3 - row[3]) < 1e-12
+    assert phase == pytest.approx(row[4], rel=1e-12)
 
 
 class TestIntegrateAmplitudes:
@@ -30,6 +62,13 @@ class TestIntegrateAmplitudes:
             norm = abs(amps.a2) ** 2 + abs(amps.a3) ** 2
             assert abs(norm - 1.0) < 1e-10
 
+    def test_norm_not_drained_by_rounding(self):
+        # near-identity step products rounded on the grid at 1 err with one
+        # sign and would drain about 1e-13 of norm here
+        x = solve_xmax(math.pi, 21.0)
+        amps = integrate_amplitudes(21.0, x, steps_per_unit=8000)
+        assert abs(abs(amps.a2) ** 2 + abs(amps.a3) ** 2 - 1.0) < 2e-14
+
     def test_step_halving_converged(self):
         x = solve_xmax(math.pi, 15.0)
         e1 = gate_error_pure(*_final(integrate_amplitudes(15.0, x))).error
@@ -43,6 +82,17 @@ class TestIntegrateAmplitudes:
         # override runs and still conserves norm
         amps = integrate_amplitudes(500.0, 0.3, allow_coarse=True)
         assert abs(abs(amps.a2) ** 2 + abs(amps.a3) ** 2 - 1.0) < 1e-6
+
+    def test_matches_frozen_recurrence(self):
+        for row in FROZEN_RK4:
+            amps = integrate_amplitudes(row[0], row[1])
+            _assert_frozen(amps.a2, amps.a3, amps.phase, row)
+
+    def test_matches_frozen_recurrence_odd_step_count(self):
+        row = FROZEN_RK4_ODD
+        amps = integrate_amplitudes(row[0], row[1], PulseEnvelope(u_b=2.5),
+                                    steps_per_unit=301)
+        _assert_frozen(amps.a2, amps.a3, amps.phase, row)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
@@ -145,6 +195,13 @@ class TestBatchIntegration:
             assert abs(b2[i] - amps.a2) < 1e-12
             assert abs(b3[i] - amps.a3) < 1e-12
             assert abs(bs[i] - amps.phase) < 1e-9
+
+    def test_matches_frozen_recurrence(self):
+        chis = np.array([row[0] for row in FROZEN_RK4_BATCH])
+        xs = np.array([row[1] for row in FROZEN_RK4_BATCH])
+        a2, a3, phase = integrate_amplitudes_batch(chis, xs)
+        for i, row in enumerate(FROZEN_RK4_BATCH):
+            _assert_frozen(a2[i], a3[i], phase[i], row)
 
     def test_broadcasts_scalar_x(self):
         a2, a3, _ = integrate_amplitudes_batch(10.0, 0.0)

@@ -182,20 +182,6 @@ class TestRatioGrid:
                        enforce_regime=False)
 
 
-class TestThreading:
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        decay = DecayConfig(gamma0=2.5, gamma1=2.5)
-        chis = [5.0, 6.0, 7.0, 8.0]
-        monkeypatch.delenv("RAMAN_SIM_THREADS", raising=False)
-        serial = sweep_error_vs_chi(math.pi, chis, decay=decay,
-                                    detuning=1500.0)
-        monkeypatch.setenv("RAMAN_SIM_THREADS", "4")
-        parallel = sweep_error_vs_chi(math.pi, chis, decay=decay,
-                                      detuning=1500.0)
-        assert serial.rows == parallel.rows
-
-
 class TestTraceRun:
 
     def test_drive_off_is_stationary(self):
