@@ -252,7 +252,7 @@ def _print_kv(pairs):
 def cmd_frame(cfg):
     cfg.resolve_timing()
     x = solve_xmax(cfg.angle, cfg.chi, cfg.envelope)
-    lam = rotation_angle(cfg.chi, x, cfg.envelope) if x > 0.0 else 0.0
+    lam = rotation_angle(cfg.chi, x, cfg.envelope)
     axis = rotation_axis(cfg.alpha, cfg.beta)
     det = cfg.detuning if cfg.detuning is not None else 1.0
     scale = "ns^-1" if cfg.detuning is not None else "Delta"

@@ -15,6 +15,7 @@ The dimensionless time is u = t / tau and the pulse lives on u in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,11 @@ _LN2 = math.log(2.0)
 MEV_TO_INV_NS_ROUNDED = 1500.0
 MEV_TO_INV_NS_PHYSICAL = 1519.3
 
-QUADRATURE_RTOL = 1e-10
+# Gauss-Legendre nodes on the even half [0, u_b] of the pulse, and the
+# Newton iteration cap and stopping step (in ulp of x) for solve_xmax
+_GL_NODES = 32
+_NEWTON_MAX_ITER = 50
+_NEWTON_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,8 @@ class PulseEnvelope:
     u_b: float = 3.0
 
     def __post_init__(self):
-        if not self.u_b > 0.0:
-            raise ConfigurationError("u_b must be positive")
+        if not 0.0 < self.u_b < math.inf:
+            raise ConfigurationError("u_b must be positive and finite")
 
     def _gb(self):
         return math.exp(-_LN2 * self.u_b * self.u_b)
@@ -89,17 +94,6 @@ class PulseEnvelope:
         gb = self._gb()
         out = -2.0 * _LN2 * u * np.exp(-_LN2 * u * u) / (1.0 - gb)
         return float(out) if out.ndim == 0 else out
-
-
-def _scalar_envelope(env):
-    # fast scalar closure for the quadrature hot loop
-    gb = math.exp(-_LN2 * env.u_b * env.u_b)
-    norm = 1.0 - gb
-
-    def f(u):
-        return (math.exp(-_LN2 * u * u) - gb) / norm
-
-    return f
 
 
 def hamiltonian(omega1, omega2, detuning, alpha=0.0):
@@ -220,102 +214,107 @@ class RotationSpec:
         ])
 
 
-def _simpson_recurse(f, a, b, fa, fm, fb, whole, eps, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * eps:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise NumericalError("adaptive quadrature failed to converge")
-    return (_simpson_recurse(f, a, m, fa, flm, fm, left, 0.5 * eps, depth - 1)
-            + _simpson_recurse(f, m, b, fm, frm, fb, right, 0.5 * eps, depth - 1))
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    # numpy.polynomial is imported on first use, not at module load
+    from numpy.polynomial.legendre import leggauss
+    t, w = leggauss(n)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
-def adaptive_simpson(f, a, b, rtol=QUADRATURE_RTOL):
-    """Adaptive Simpson quadrature of a smooth scalar integrand."""
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    eps = rtol * max(abs(whole), 1e-300)
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, eps, depth=48)
+def _envelope_rule(env):
+    """Weights on [0, u_b] and q = 4 f^2 at the Gauss-Legendre nodes."""
+    t, w = _gauss_legendre(_GL_NODES)
+    f = env.value(env.u_b * t)
+    return env.u_b * w, 4.0 * f * f
 
 
-def _adiabaticity_integral(x_max, env):
-    # g(x) = int (sqrt(1 + 4 x^2 f^2) - 1) du, written to avoid the
-    # cancellation of sqrt(1+s)-1 at small s
-    fenv = _scalar_envelope(env)
-    x2 = 4.0 * x_max * x_max
+def _half_integral(x, w, q):
+    """h(x) = int_0^{u_b} (sqrt(1 + 4 x^2 f^2) - 1) du and h'(x).
 
-    def integrand(u):
-        fv = fenv(u)
-        s = x2 * fv * fv
-        return s / (math.sqrt(1.0 + s) + 1.0)
-
-    return adaptive_simpson(integrand, -env.u_b, env.u_b)
+    x has shape (m,), and h and h' come back with the same shape.  The
+    integrand is written s / (sqrt(1 + s) + 1) to avoid the
+    cancellation of sqrt(1 + s) - 1 at small s.  Each row is reduced on
+    its own by np.sum, so a point's value does not depend on the others.
+    """
+    s = (x * x)[:, None] * q
+    root = np.sqrt(1.0 + s)
+    h = np.sum(w * (s / (root + 1.0)), axis=-1)
+    dh = x * np.sum(w * (q / root), axis=-1)
+    return h, dh
 
 
 def rotation_angle(chi, x_max, env=None):
     """Rotation angle Lambda accumulated by the pulse.
 
-    Lambda = (chi/2) * int_{-u_b}^{u_b} (sqrt(1 + 4 x_max^2 f(u)^2) - 1) du,
-    evaluated by adaptive quadrature to relative tolerance 1e-10.
+    Lambda = (chi/2) * int_{-u_b}^{u_b} (sqrt(1 + 4 x_max^2 f(u)^2) - 1) du.
+    The integrand is even, so this is chi times the integral over
+    [0, u_b], taken with a fixed 32-node Gauss-Legendre rule.
     """
+    if not (math.isfinite(chi) and math.isfinite(x_max)):
+        raise ConfigurationError("chi and x_max must be finite")
     if not chi > 0.0:
         raise ConfigurationError("chi must be positive")
     if x_max < 0.0:
         raise ConfigurationError("x_max must be >= 0")
     if env is None:
         env = PulseEnvelope()
-    if x_max == 0.0:
-        return 0.0
-    return 0.5 * chi * _adiabaticity_integral(x_max, env)
+    h, _ = _half_integral(np.array([float(x_max)]), *_envelope_rule(env))
+    return chi * float(h[0])
 
 
-def solve_xmax(angle, chi, env=None, xtol=1e-12, max_iter=256):
+def solve_xmax(angle, chi, env=None):
     """Solve rotation_angle(chi, x_max) = angle for x_max.
 
-    Brackets [0, x_hi] by doubling x_hi until the adiabaticity integral
-    exceeds 2*angle/chi, then bisects to absolute tolerance xtol.  The
-    result depends on (angle, chi) only through their ratio.
+    angle and chi broadcast against each other; scalars give a float and
+    arrays an array.  Newton's method runs on h(x) = angle / chi with the
+    rule of rotation_angle.  h is increasing and convex, so from the
+    small-x root sqrt(angle / (chi * int_0^{u_b} 2 f^2 du)), which lies
+    below the solution, the first step overshoots and the rest descend
+    monotonically.  A point stops once its step is within a few ulp of
+    x.  The result depends on (angle, chi) only through their ratio.
 
     Raises
     ------
+    ConfigurationError
+        If an angle is negative or not finite, or a chi not positive and
+        finite.
     NumericalError
-        If bracketing or bisection exceeds the iteration cap.
+        If an iterate is not finite or Newton exceeds its iteration cap.
     """
-    if angle < 0.0:
+    angle, chi = np.broadcast_arrays(np.asarray(angle, dtype=float),
+                                     np.asarray(chi, dtype=float))
+    if not (np.all(np.isfinite(angle)) and np.all(np.isfinite(chi))):
+        raise ConfigurationError("angle and chi must be finite")
+    if np.any(angle < 0.0):
         raise ConfigurationError("angle must be >= 0")
-    if not chi > 0.0:
+    if not np.all(chi > 0.0):
         raise ConfigurationError("chi must be positive")
     if env is None:
         env = PulseEnvelope()
-    if angle == 0.0:
-        return 0.0
 
-    target = 2.0 * angle / chi
-    hi = 1.0
-    for _ in range(64):
-        if _adiabaticity_integral(hi, env) > target:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("failed to bracket x_max")
-
-    lo = 0.0
-    for _ in range(max_iter):
-        if hi - lo <= xtol:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if _adiabaticity_integral(mid, env) < target:
-            lo = mid
+    w, q = _envelope_rule(env)
+    target = (angle / chi).ravel()
+    x = np.zeros_like(target)
+    todo = np.flatnonzero(target > 0.0)
+    x[todo] = np.sqrt(target[todo] / (0.5 * np.sum(w * q)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            h, dh = _half_integral(x[todo], w, q)
+            step = (target[todo] - h) / dh
+            xt = x[todo] + step
+            if not np.all(np.isfinite(xt)):
+                raise NumericalError("Newton iterate for x_max is not finite")
+            x[todo] = xt
+            todo = todo[np.abs(step) > _NEWTON_ULPS * np.spacing(xt)]
+            if todo.size == 0:
+                break
         else:
-            hi = mid
-    raise NumericalError("bisection for x_max did not converge")
+            raise NumericalError("Newton iteration for x_max did not converge")
+    x = x.reshape(angle.shape)
+    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True, eq=False)

@@ -132,8 +132,8 @@ def sweep_xmax_vs_chi(angle, chi_values, env=None):
     chi_values = np.asarray(chi_values, dtype=float)
     if chi_values.size == 0 or np.any(np.diff(chi_values) <= 0.0):
         raise ConfigurationError("chi_values must be positive and increasing")
-    rows = tuple((float(c), solve_xmax(angle, float(c), env))
-                 for c in chi_values)
+    rows = tuple((float(c), float(x))
+                 for c, x in zip(chi_values, solve_xmax(angle, chi_values, env)))
     meta = {
         "table": "xmax-vs-chi",
         "tool": _tool_tag(),
@@ -177,7 +177,7 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
         meta["steps_per_unit"] = str(steps_per_unit)
         rows = []
         for angle in angles:
-            xs = np.array([solve_xmax(angle, float(c), env) for c in chi_values])
+            xs = solve_xmax(angle, chi_values, env)
             a2, a3, _ = integrate_amplitudes_batch(
                 chi_values, xs, env, steps_per_unit=steps_per_unit)
             for c, x, c2, c3 in zip(chi_values, xs, a2, a3):
@@ -202,24 +202,21 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
         "final_time": "light-off",
     })
 
-    points = [(float(angle), float(c)) for angle in angles for c in chi_values]
-
-    def evaluate(pt):
-        angle, chi = pt
-        x = solve_xmax(angle, chi, env)
-        tau = chi / detuning
-        drive = DriveConfig(detuning=detuning, tau=tau, x_max=x,
-                            alpha=alpha, beta=beta, envelope=env)
+    rows = []
+    for angle in angles.tolist():
         target = RotationSpec.from_angles(angle, alpha, beta)
-        err = gate_error_mixed(drive, decay, target=target, dt=dt)
         est = angle * decay.total / detuning
-        return (angle, chi, tau, x, err, est, err / est)
-
-    rows = tuple(evaluate(pt) for pt in points)
+        xs = solve_xmax(angle, chi_values, env)
+        for chi, x in zip(chi_values.tolist(), xs.tolist()):
+            tau = chi / detuning
+            drive = DriveConfig(detuning=detuning, tau=tau, x_max=x,
+                                alpha=alpha, beta=beta, envelope=env)
+            err = gate_error_mixed(drive, decay, target=target, dt=dt)
+            rows.append((angle, chi, tau, x, err, est, err / est))
     return SweepTable(
         name="error-vs-chi",
         columns=("angle", "chi", "tau", "x_max", "error", "estimate", "ratio"),
-        rows=rows, metadata=meta)
+        rows=tuple(rows), metadata=meta)
 
 
 def _decay_grid_rows(angle, tau, detunings, gammas, prefactor, env, dt,
@@ -235,16 +232,17 @@ def _decay_grid_rows(angle, tau, detunings, gammas, prefactor, env, dt,
     if not tau > 0.0:
         raise ConfigurationError("tau must be positive")
 
-    per_delta = {}
-    for det in detunings:
-        chi = float(det) * tau
+    chis = detunings * tau
+    for chi in chis:
         _check_regime(chi, enforce_regime)
-        x = solve_xmax(angle, chi, env)
+    per_delta = {}
+    for det, chi, x in zip(detunings.tolist(), chis.tolist(),
+                           solve_xmax(angle, chis, env).tolist()):
         a2, a3, _ = integrate_amplitudes_batch(chi, x, env)
         floor = gate_error_pure(complex(a2[0]), complex(a3[0])).error
-        drive = DriveConfig(detuning=float(det), tau=tau, x_max=x,
+        drive = DriveConfig(detuning=det, tau=tau, x_max=x,
                             alpha=alpha, beta=beta, envelope=env)
-        per_delta[float(det)] = (drive, floor)
+        per_delta[det] = (drive, floor)
 
     target = RotationSpec.from_angles(angle, alpha, beta)
     points = [(float(det), float(g)) for det in detunings for g in gammas]
@@ -297,8 +295,8 @@ def sweep_error_vs_gamma(detunings, gammas, angle, tau, prefactor=0.5,
 
     rows = []
     for det, gamma, err, floor in results:
-        est = estimate = angle * gamma / det
-        ratio = err / est if est > 0.0 else float("nan")
+        estimate = angle * gamma / det
+        ratio = err / estimate if estimate > 0.0 else float("nan")
         rows.append((det, gamma, err, floor, estimate, ratio))
 
     fits = {}

@@ -161,6 +161,20 @@ class TestExitCodes:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, code", [
+        ("frame --angle nan --chi 20", 2),
+        ("gate --angle inf --chi 20", 2),
+        ("frame --angle pi --chi inf", 2),
+        ("frame --angle pi --chi 20 --ub inf", 2),
+        ("frame --angle 1e300 --chi 20", 3),
+    ])
+    def test_non_finite_and_overflowing_calibration(self, line, code, capsys):
+        # non-finite input is a configuration error; a finite angle too
+        # large to calibrate is numerical trouble
+        assert run(shlex.split(line)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:" if code == 2 else "numeric failure")
+
     def test_frame_output(self, capsys):
         rc = run(["frame", "--angle", "pi", "--chi", "15"])
         assert rc == 0

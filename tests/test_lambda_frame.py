@@ -7,12 +7,21 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from ramansim import (ConfigurationError, DriveConfig, PhysicalUnits,
-                      PulseEnvelope, RotationSpec, adaptive_simpson,
-                      eigensystem, hamiltonian, rotation_angle, rotation_axis,
-                      solve_xmax)
+import ramansim.lambda_frame as lambda_frame
+from ramansim import (ConfigurationError, DriveConfig, NumericalError,
+                      PhysicalUnits, PulseEnvelope, RotationSpec, eigensystem,
+                      hamiltonian, rotation_angle, rotation_axis, solve_xmax)
 
 ENV = PulseEnvelope()
+
+# x_max from the bisection on adaptive Simpson quadrature that the
+# Gauss-Legendre Newton solve replaced (bisection tolerance 1e-12)
+FROZEN_XMAX = (
+    (math.pi, 15.0, 0.39080458847774935),
+    (math.pi / 2, 7.0, 0.40575335898165577),
+    (2.0 * math.pi, 2.0, 2.170964069312049),
+    (1e-6, 15.0, 0.0002106109418491542),
+)
 
 
 class TestEnvelope:
@@ -58,6 +67,10 @@ class TestEnvelope:
             env.value(2.5)
         with pytest.raises(ConfigurationError):
             PulseEnvelope(u_b=0.0)
+        with pytest.raises(ConfigurationError):
+            PulseEnvelope(u_b=math.inf)
+        with pytest.raises(ConfigurationError):
+            PulseEnvelope(u_b=math.nan)
 
 
 class TestUnits:
@@ -172,17 +185,6 @@ class TestRotationSpec:
             RotationSpec(angle=1.0, axis=np.array([1.0, 1.0, 0.0]))
 
 
-class TestQuadrature:
-
-    def test_sine_integral(self):
-        val = adaptive_simpson(math.sin, 0.0, math.pi)
-        assert val == pytest.approx(2.0, rel=1e-10)
-
-    def test_polynomial_exact(self):
-        val = adaptive_simpson(lambda x: x * x, 0.0, 3.0)
-        assert val == pytest.approx(9.0, rel=1e-13)
-
-
 class TestRotationAngle:
 
     def test_zero_drive(self):
@@ -194,7 +196,7 @@ class TestRotationAngle:
 
     def test_small_x_quadratic_regime(self):
         # Lambda ~ chi x^2 int f^2 du for x << 1
-        i2 = adaptive_simpson(lambda u: ENV.value(u) ** 2, -3.0, 3.0)
+        i2, _ = quad(lambda u: ENV.value(u) ** 2, -3.0, 3.0)
         x = 1e-3
         lam = rotation_angle(15.0, x)
         assert lam == pytest.approx(15.0 * x * x * i2, rel=1e-5)
@@ -210,6 +212,17 @@ class TestRotationAngle:
                       epsabs=1e-13, epsrel=1e-12, limit=200)
         assert val == pytest.approx(drive.rotation_angle(), rel=1e-9)
 
+    @pytest.mark.parametrize("x", [1e-3, 0.4, 3.8])
+    def test_rule_matches_adaptive_quadrature(self, x):
+        # chi = 2 makes Lambda the integral g(x) itself
+        def integrand(u):
+            s = 4.0 * x * x * ENV.value(u) ** 2
+            return s / (math.sqrt(1.0 + s) + 1.0)
+
+        val, _ = quad(integrand, -3.0, 3.0, epsabs=0.0, epsrel=1e-13,
+                      limit=200)
+        assert rotation_angle(2.0, x) == pytest.approx(val, rel=1e-12)
+
     def test_monotone_in_xmax(self):
         lams = [rotation_angle(15.0, x) for x in (0.1, 0.2, 0.4, 0.8)]
         assert all(a < b for a, b in zip(lams, lams[1:]))
@@ -219,16 +232,51 @@ class TestRotationAngle:
             rotation_angle(0.0, 0.5)
         with pytest.raises(ConfigurationError):
             rotation_angle(10.0, -0.5)
+        for chi, x in ((math.inf, 0.5), (math.nan, 0.5), (10.0, math.inf),
+                       (10.0, math.nan)):
+            with pytest.raises(ConfigurationError):
+                rotation_angle(chi, x)
 
 
 class TestSolveXmax:
+
+    @pytest.mark.parametrize("angle, chi, frozen", FROZEN_XMAX)
+    def test_matches_frozen_bisection(self, angle, chi, frozen):
+        x = solve_xmax(angle, chi)
+        assert type(x) is float
+        assert x == pytest.approx(frozen, abs=1e-12)
+
+    def test_node_count_converged(self, monkeypatch):
+        chis = np.arange(2.0, 61.0)
+        angles = np.array([[math.pi / 2], [math.pi], [2.0 * math.pi]])
+        x32 = solve_xmax(angles, chis)
+        monkeypatch.setattr(lambda_frame, "_GL_NODES", 64)
+        x64 = solve_xmax(angles, chis)
+        assert x32.shape == (3, chis.size)
+        assert np.max(np.abs(x64 - x32)) <= 1e-13
+
+    def test_array_call_equals_scalar_calls(self):
+        angles = np.array([math.pi, 0.0, math.pi / 2, 2.0 * math.pi, 1e-6])
+        chis = np.array([15.0, 20.0, 7.0, 2.0, 300.0])
+        xs = solve_xmax(angles, chis)
+        assert xs[1] == 0.0
+        for angle, chi, x in zip(angles, chis, xs):
+            assert x == solve_xmax(float(angle), float(chi))
+        # a scalar angle broadcasts against the chi array
+        assert np.array_equal(solve_xmax(math.pi, chis),
+                              [solve_xmax(math.pi, c) for c in chis])
+
+    def test_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(lambda_frame, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(NumericalError):
+            solve_xmax(math.pi, 15.0)
 
     def test_ratio_scaling_exact(self):
         for angle, chi in ((math.pi, 15.0), (math.pi / 2, 7.0), (1.0, 3.3)):
             assert solve_xmax(angle, chi) == solve_xmax(2.0 * angle, 2.0 * chi)
 
     def test_small_angle_limit(self):
-        i2 = adaptive_simpson(lambda u: ENV.value(u) ** 2, -3.0, 3.0)
+        i2, _ = quad(lambda u: ENV.value(u) ** 2, -3.0, 3.0)
         angle = 1e-6
         x = solve_xmax(angle, 15.0)
         assert x == pytest.approx(math.sqrt(angle / (15.0 * i2)), rel=1e-2)
@@ -236,7 +284,7 @@ class TestSolveXmax:
 
     def test_small_x_crosscheck_at_pi(self):
         # the quadratic estimate is decent though not exact at x ~ 0.4
-        i2 = adaptive_simpson(lambda u: ENV.value(u) ** 2, -3.0, 3.0)
+        i2, _ = quad(lambda u: ENV.value(u) ** 2, -3.0, 3.0)
         x = solve_xmax(math.pi, 15.0)
         approx = math.sqrt(math.pi / (15.0 * i2))
         assert abs(x - approx) / x < 0.1
@@ -253,6 +301,12 @@ class TestSolveXmax:
             solve_xmax(-1.0, 15.0)
         with pytest.raises(ConfigurationError):
             solve_xmax(math.pi, 0.0)
+        for angle, chi in ((math.nan, 15.0), (math.inf, 15.0),
+                           (math.pi, math.inf), (math.pi, math.nan)):
+            with pytest.raises(ConfigurationError):
+                solve_xmax(angle, chi)
+        with pytest.raises(ConfigurationError):
+            solve_xmax([math.pi, -1.0], 15.0)
 
 
 class TestDriveConfig:

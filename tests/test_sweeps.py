@@ -1,10 +1,11 @@
-"""Sweep tables, fits and the parallel point scheduler."""
+"""Sweep tables, fits and calibration counts."""
 
 import math
 
 import numpy as np
 import pytest
 
+import ramansim.sweeps
 from ramansim import (ConfigurationError, DecayConfig, DriveConfig,
                       fit_inverse, fit_linear_through_origin,
                       gate_error_mixed, nonadiabatic_error, ratio_grid,
@@ -55,8 +56,8 @@ class TestSweepXmax:
         assert np.all(np.diff(xs) < 0.0)
 
     def test_depends_on_ratio_only(self):
-        # doubling angle and chi together lands on the same bisection
-        # iterates, so the results agree bitwise
+        # doubling angle and chi together leaves angle/chi, and so every
+        # Newton iterate, unchanged, so the results agree bitwise
         a = sweep_xmax_vs_chi(math.pi, [5.0, 10.0, 20.0, 40.0])
         b = sweep_xmax_vs_chi(2.0 * math.pi, [10.0, 20.0, 40.0, 80.0])
         assert np.array_equal(a.column("x_max"), b.column("x_max"))
@@ -117,6 +118,49 @@ class TestSweepErrorVsChi:
         direct = gate_error_mixed(drive, decay)
         assert row[4] == pytest.approx(direct, rel=1e-12)
         assert row[6] == pytest.approx(row[4] / row[5], rel=1e-12)
+
+
+class TestCalibratesOnce:
+    """Each sweep calibrates all its chi (or detuning) values in one call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(angle, chi, env=None):
+            calls.append((angle, np.shape(chi)))
+            return solve_xmax(angle, chi, env)
+
+        monkeypatch.setattr(ramansim.sweeps, "solve_xmax", counting)
+        # the master equation is not what these tests count
+        monkeypatch.setattr(ramansim.sweeps, "gate_error_mixed",
+                            lambda drive, decay, target=None, dt=None: 1e-3)
+        return calls
+
+    def test_sweep_xmax(self, calls):
+        table = sweep_xmax_vs_chi(math.pi, [5.0, 10.0, 20.0, 40.0])
+        assert calls == [(math.pi, (4,))]
+        for chi, x in table.rows:
+            assert type(x) is float and x == solve_xmax(math.pi, chi)
+
+    def test_sweep_chi_pure(self, calls):
+        sweep_error_vs_chi([math.pi / 2, math.pi], [20.0, 25.0, 30.0])
+        assert calls == [(math.pi / 2, (3,)), (math.pi, (3,))]
+
+    def test_sweep_chi_decay(self, calls):
+        table = sweep_error_vs_chi([math.pi / 2, math.pi], [20.0, 25.0, 30.0],
+                                   decay=DecayConfig(gamma0=5.0, gamma1=5.0),
+                                   detuning=1500.0)
+        assert calls == [(math.pi / 2, (3,)), (math.pi, (3,))]
+        for row in table.rows:
+            assert all(type(v) is float for v in row)
+            assert row[3] == solve_xmax(row[0], row[1])
+
+    def test_decay_grid(self, calls):
+        table, _ = sweep_error_vs_gamma([1500.0, 3000.0], [5.0], math.pi,
+                                        20.0 / 1500.0)
+        assert calls == [(math.pi, (2,))]
+        assert len(table) == 2
 
 
 class TestSweepErrorVsGamma:
