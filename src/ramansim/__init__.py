@@ -20,8 +20,7 @@ from .lindblad import (DecayConfig, TraceRecord, adiabatic_populations,
                        qubit_state, validate_density)
 from .nonadiabatic import (AdiabaticAmplitudes, GateErrorResult,
                            gate_error_pure, integrate_amplitudes,
-                           integrate_amplitudes_batch,
-                           integrate_bare_schrodinger, nonadiabatic_error)
+                           integrate_amplitudes_batch, nonadiabatic_error)
 from .sweeps import (FitResult, SweepTable, fit_inverse,
                      fit_linear_through_origin, ratio_grid, records_to_table,
                      sweep_error_vs_chi, sweep_error_vs_delta,
@@ -56,7 +55,6 @@ __all__ = [
     "hamiltonian",
     "integrate_amplitudes",
     "integrate_amplitudes_batch",
-    "integrate_bare_schrodinger",
     "nonadiabatic_error",
     "propagate_master",
     "purity",

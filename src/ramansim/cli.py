@@ -27,7 +27,8 @@ from .errors import ConfigurationError, NumericalError
 from .lambda_frame import (MEV_TO_INV_NS_PHYSICAL, DriveConfig, PhysicalUnits,
                            PulseEnvelope, RotationSpec, eigensystem,
                            rotation_angle, rotation_axis, solve_xmax)
-from .lindblad import DecayConfig, density_from_state, gate_error_mixed, qubit_state
+from .lindblad import (DecayConfig, _worst_case, density_from_state,
+                       gate_error_mixed, qubit_state)
 from .nonadiabatic import gate_error_pure, integrate_amplitudes
 from .sweeps import (ratio_grid, records_to_table, sweep_error_vs_chi,
                      sweep_error_vs_delta, sweep_error_vs_gamma,
@@ -119,13 +120,6 @@ def make_list_parser(scalar):
     return parse
 
 
-def parse_grid(text):
-    m = re.fullmatch(r"(\d+)x(\d+)", text.strip())
-    if not m:
-        raise ConfigurationError("grid must look like 17x32: %r" % text)
-    return int(m.group(1)), int(m.group(2))
-
-
 _NAMED_STATES = {
     "0": (0.0, 0.0),
     "1": (math.pi, 0.0),
@@ -171,7 +165,6 @@ class RunConfig:
     prefactor: float = 0.5
     steps_per_unit: int = 2000
     dt: float | None = None
-    grid: tuple = (17, 32)
     record_stride: int = 10
     initial: np.ndarray | None = None
     enforce_regime: bool = True
@@ -303,8 +296,9 @@ def cmd_gate(cfg):
                                      alpha=cfg.alpha, beta=cfg.beta,
                                      envelope=cfg.envelope)
     target = RotationSpec.from_angles(cfg.angle, cfg.alpha, cfg.beta)
-    err = gate_error_mixed(drive, decay, target=target, grid=cfg.grid,
-                           dt=cfg.dt)
+    err = gate_error_mixed(drive, decay, target, cfg.dt)
+    # the same arguments again: _worst_case returns its cached result
+    _, worst_n = _worst_case(drive, decay, target, cfg.dt)
     est = cfg.angle * decay.total / cfg.detuning
     _print_kv([
         ("chi", cfg.chi),
@@ -313,6 +307,9 @@ def cmd_gate(cfg):
         ("estimate", est),
         ("ratio", err / est),
         ("prefactor", decay.prefactor),
+        ("worst_n_x", worst_n[0]),
+        ("worst_n_y", worst_n[1]),
+        ("worst_n_z", worst_n[2]),
     ])
     return 0
 
@@ -449,8 +446,6 @@ def build_parser(units):
     decay_opts(p)
     steps_opt(p)
     dt_opt(p)
-    p.add_argument("--grid", type=parse_grid, default=(17, 32),
-                   help="Bloch sampling grid, e.g. 17x32")
     p.set_defaults(handler="gate")
 
     p = sub.add_parser("trace", help="time series CSV of one run")
@@ -519,7 +514,6 @@ def _build_config(args, units):
     cfg.prefactor = getattr(args, "prefactor", 0.5)
     cfg.steps_per_unit = getattr(args, "steps_per_unit", 2000)
     cfg.dt = getattr(args, "dt", None)
-    cfg.grid = getattr(args, "grid", (17, 32))
     cfg.record_stride = getattr(args, "stride", 10)
     cfg.initial = getattr(args, "initial", None)
     cfg.enforce_regime = getattr(args, "enforce_regime", True)

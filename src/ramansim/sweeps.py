@@ -221,8 +221,9 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
 
 def _decay_grid_rows(angle, tau, detunings, gammas, prefactor, env, dt,
                      alpha, beta, enforce_regime):
-    """Shared engine for the (detuning, gamma) grids: per-detuning
-    calibration and floor, then one master-equation run per point."""
+    """Shared engine for the (detuning, gamma) grids: the calibration and
+    the gamma = 0 floor of every detuning in one call each, then one
+    master-equation run per point."""
     detunings = np.asarray(detunings, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     if np.any(detunings <= 0.0):
@@ -235,11 +236,12 @@ def _decay_grid_rows(angle, tau, detunings, gammas, prefactor, env, dt,
     chis = detunings * tau
     for chi in chis:
         _check_regime(chi, enforce_regime)
+    xs = solve_xmax(angle, chis, env)
+    a2s, a3s, _ = integrate_amplitudes_batch(chis, xs, env)
     per_delta = {}
-    for det, chi, x in zip(detunings.tolist(), chis.tolist(),
-                           solve_xmax(angle, chis, env).tolist()):
-        a2, a3, _ = integrate_amplitudes_batch(chi, x, env)
-        floor = gate_error_pure(complex(a2[0]), complex(a3[0])).error
+    for det, x, a2, a3 in zip(detunings.tolist(), xs.tolist(),
+                              a2s.tolist(), a3s.tolist()):
+        floor = gate_error_pure(a2, a3).error
         drive = DriveConfig(detuning=det, tau=tau, x_max=x,
                             alpha=alpha, beta=beta, envelope=env)
         per_delta[det] = (drive, floor)

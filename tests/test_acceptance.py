@@ -11,14 +11,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import bare_final_state
+from conftest import bare_final_state, integrate_bare_schrodinger
 
 from ramansim import (DecayConfig, DriveConfig, eigensystem,
                       fit_linear_through_origin, gate_error_mixed,
                       gate_error_pure, hamiltonian, integrate_amplitudes,
-                      integrate_amplitudes_batch, integrate_bare_schrodinger,
-                      nonadiabatic_error, propagate_master, purity,
-                      solve_xmax)
+                      integrate_amplitudes_batch, nonadiabatic_error,
+                      propagate_master, purity, solve_xmax)
 
 PI = math.pi
 MEV = 1500.0          # rounded energy conversion, ns^-1 per meV

@@ -1,17 +1,20 @@
 """Command-line parsing, exit codes and CSV round-trips."""
 
 import math
+import os
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import ramansim.cli
-from ramansim import (ConfigurationError, PhysicalUnits, nonadiabatic_error,
-                      solve_xmax)
+from ramansim import (ConfigurationError, DecayConfig, DriveConfig,
+                      PhysicalUnits, RotationSpec, gate_error_mixed,
+                      nonadiabatic_error, solve_xmax)
 from ramansim.cli import (make_energy_parser, make_list_parser, parse_angle,
-                          parse_grid, parse_initial, parse_rate, parse_time,
-                          run)
+                          parse_initial, parse_rate, parse_time, run)
 
 ROUNDED = PhysicalUnits(mev_to_inv_ns=1500.0)
 
@@ -74,11 +77,6 @@ class TestParsers:
         with pytest.raises(ConfigurationError):
             float_list("4:2:1")
 
-    def test_grid(self):
-        assert parse_grid("17x32") == (17, 32)
-        with pytest.raises(ConfigurationError):
-            parse_grid("17-32")
-
     def test_initial_named(self):
         psi = parse_initial("+i")
         s = 1.0 / math.sqrt(2.0)
@@ -122,6 +120,32 @@ class TestExitCodes:
         assert kv["abs_d"] == "%.12g" % abs(res.d)
         assert kv["p_star"] == "%.12g" % res.p_star
 
+    def test_gate_decay_output(self, capsys, monkeypatch):
+        calls = []
+        batch = ramansim.lindblad._propagate_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(ramansim.lindblad, "_propagate_batch", counting)
+        assert run(["gate", "--angle", "pi/2", "--delta", "1meV", "--tau",
+                    "13.3ps", "--gamma0", "2ns^-1", "--gamma1", "6ns^-1",
+                    "--alpha", "0.3"]) == 0
+        assert len(calls) == 1
+        kv = kv_from_stdout(capsys.readouterr().out)
+        assert list(kv) == ["chi", "x_max", "error", "estimate", "ratio",
+                            "prefactor", "worst_n_x", "worst_n_y",
+                            "worst_n_z"]
+        drive = DriveConfig.for_rotation(math.pi / 2, 1500.0, 0.0133,
+                                         alpha=0.3)
+        target = RotationSpec.from_angles(math.pi / 2, 0.3)
+        error = gate_error_mixed(drive, DecayConfig(gamma0=2.0, gamma1=6.0),
+                                 target)
+        assert kv["error"] == "%.12g" % error
+        n = [float(kv["worst_n_" + k]) for k in "xyz"]
+        assert math.hypot(*n) == pytest.approx(1.0, abs=1e-11)
+
     def test_gate_pure_rejects_zero_angle(self, capsys):
         assert run(["gate", "--angle", "0", "--chi", "21"]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -132,6 +156,8 @@ class TestExitCodes:
         ["trace", "--angle", "pi", "--delta", "1meV", "--chi", "15",
          "--steps-per-unit", "7"],
         ["sweep-chi", "--angle", "pi", "--chi", "15", "--grid", "3x3"],
+        ["gate", "--angle", "pi", "--delta", "1meV", "--tau", "13.3ps",
+         "--gamma0", "5ns^-1", "--grid", "17x32"],
     ])
     def test_unread_flags_rejected(self, argv, capsys):
         assert run(argv) == 2
@@ -246,3 +272,31 @@ class TestCsvOutput:
         assert lines[0] == "angle,chi,x_max,error,abs_c,abs_d,p_star"
         errors = [float(l.split(",")[3]) for l in lines[1:]]
         assert errors == sorted(errors, reverse=True)
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    # scipy is a test-only dependency: a decay gate, a trace and a
+    # ratio-grid must not import it
+    code = """if True:
+        import sys
+        from ramansim.cli import run
+        out = sys.argv[1]
+        assert run(["gate", "--angle", "pi", "--delta", "1meV", "--tau",
+                    "13.3ps", "--gamma0", "5ns^-1"]) == 0
+        assert run(["trace", "--angle", "pi", "--delta", "1meV", "--tau",
+                    "13.3ps", "--gamma1", "5ns^-1", "-o", out]) == 0
+        assert run(["ratio-grid", "--angle", "pi", "--tau", "14ps",
+                    "--delta", "2meV", "--gamma", "4ns^-1", "-o", out]) == 0
+        print(sorted(m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")))
+    """
+    src = os.path.dirname(os.path.dirname(ramansim.cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(tmp_path / "out.csv")],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

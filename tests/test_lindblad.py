@@ -8,7 +8,7 @@ from conftest import bare_final_state
 
 import ramansim.lindblad as lindblad
 from ramansim import (ConfigurationError, DecayConfig, DriveConfig,
-                      NumericalError, adiabatic_populations,
+                      NumericalError, RotationSpec, adiabatic_populations,
                       density_from_state, estimate_spontaneous_error,
                       gate_error_mixed, integrate_amplitudes,
                       nonadiabatic_error, propagate_master, purity,
@@ -287,13 +287,157 @@ class TestGateErrorMixed:
         ratio = (e_full - floor) / (e_half - floor)
         assert 1.8 < ratio < 2.2
 
-    def test_rejects_bad_grid(self, worked_drive):
-        with pytest.raises(ConfigurationError):
-            gate_error_mixed(worked_drive, DecayConfig(), grid=(1, 8))
-
     def test_rejects_bad_target(self, worked_drive):
         with pytest.raises(ConfigurationError):
             gate_error_mixed(worked_drive, DecayConfig(), target=1.0)
+
+    def test_rejects_unhashable_target(self, worked_drive):
+        # checked before the cached solve, which would raise TypeError
+        with pytest.raises(ConfigurationError):
+            gate_error_mixed(worked_drive, DecayConfig(), target=[1.0, 0.0])
+
+
+# gate_error_mixed at (pi, tau = 13.3 ps, gamma0 = gamma1 = 5 ns^-1), frozen
+# from the 17 x 32 Bloch scan plus Nelder-Mead search that the closed-form
+# maximum replaced
+FROZEN_SEARCH = {
+    1500.0: 0.009631403590909637,
+    3000.0: 0.005012092047530281,
+    6000.0: 0.0025601280605720422,
+    12000.0: 0.0012942817118509753,
+}
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def bloch_density(n):
+    # (I + n.sigma)/2 on the qubit pair, embedded in the 3-level space
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[:2, :2] = 0.5 * (np.eye(2) + np.einsum("i,iab->ab", n, PAULI))
+    return rho
+
+
+def master_error(n, drive, decay, target):
+    # 1 - F for the initial Bloch vector n, straight from propagate_master
+    rho_f, _ = propagate_master(bloch_density(n), drive, decay)
+    umat = target.unitary()
+    ideal = umat @ bloch_density(n)[:2, :2] @ umat.conj().T
+    return 1.0 - float(np.einsum("ab,ba->", ideal, rho_f[:2, :2]).real)
+
+
+def sphere_scan(n_theta, n_phi):
+    theta = np.linspace(0.0, math.pi, n_theta)[:, None]
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[None, :]
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.cos(theta) + 0.0 * phi], axis=-1).reshape(-1, 3)
+
+
+def quadratic(c, b, a, n):
+    # c - b.n - n.A.n for one vector or a stack of them
+    return c - n @ b - np.einsum("...i,ij,...j->...", n, a, n)
+
+
+def assert_global_max(c, b, a, value, n):
+    # certificate for the maximum over the sphere: n is a unit stationary
+    # point, (A - mu I) n = -b/2, with A - mu I positive semidefinite
+    n = np.asarray(n)
+    assert abs(n @ n - 1.0) < 1e-14
+    assert value == pytest.approx(quadratic(c, b, a, n), abs=1e-14)
+    mu = n @ a @ n + 0.5 * b @ n
+    assert np.max(np.abs((a - mu * np.eye(3)) @ n + 0.5 * b)) < 1e-12
+    assert np.linalg.eigvalsh(a)[0] - mu > -1e-12
+
+
+class TestExactWorstCase:
+    """The closed-form maximum of 1 - F over the Bloch sphere."""
+
+    @pytest.fixture(scope="class")
+    def generic(self):
+        # unequal rates, doubled prefactor and a tilted axis
+        drive = DriveConfig.for_rotation(0.7 * math.pi, 2.0 * DETUNING,
+                                         0.0133, alpha=0.9, beta=0.4)
+        decay = DecayConfig(gamma0=3.0, gamma1=11.0, prefactor=1.0)
+        target = RotationSpec.from_angles(0.7 * math.pi, 0.9, 0.4)
+        table = lindblad._error_quadratic(drive, decay, None, target)
+        return drive, decay, target, table
+
+    @pytest.mark.parametrize("detuning", sorted(FROZEN_SEARCH))
+    def test_matches_frozen_search(self, detuning):
+        drive = DriveConfig.for_rotation(math.pi, detuning, 0.0133)
+        error = gate_error_mixed(drive, DecayConfig(gamma0=5.0, gamma1=5.0))
+        assert error == pytest.approx(FROZEN_SEARCH[detuning], abs=1e-12)
+
+    def test_master_equation_from_returned_state(self, generic):
+        drive, decay, target, _ = generic
+        error, n = lindblad._worst_case(drive, decay, target, None)
+        assert error == gate_error_mixed(drive, decay, target)
+        assert abs(master_error(np.array(n), drive, decay, target)
+                   - error) <= 1e-12
+
+    def test_table_matches_master_equation(self, generic, rng):
+        drive, decay, target, (c, b, a) = generic
+        for _ in range(5):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            assert abs(quadratic(c, b, a, n)
+                       - master_error(n, drive, decay, target)) <= 1e-12
+
+    def test_dense_scan_never_exceeds(self, generic):
+        drive, decay, target, (c, b, a) = generic
+        error, n = lindblad._worst_case(drive, decay, target, None)
+        scan = quadratic(c, b, a, sphere_scan(65, 128))
+        assert np.max(scan) <= error + 1e-15
+        assert np.max(scan) > error - 1e-3 * error
+        assert_global_max(c, b, a, error, n)
+
+
+class TestMaximizeOnSphere:
+    """The trust-region solve on synthetic (A, b)."""
+
+    def test_easy_case(self, rng):
+        for _ in range(200):
+            m = rng.normal(size=(3, 3))
+            a, b, c = m + m.T, rng.normal(size=3), rng.normal()
+            value, n = lindblad._maximize_on_sphere(c, b, a)
+            assert_global_max(c, b, a, value, n)
+            assert np.max(quadratic(c, b, a, sphere_scan(33, 64))) <= \
+                value + 1e-12
+
+    def test_zero_linear_term(self):
+        a = np.diag([0.3, -0.2, 0.5])
+        value, n = lindblad._maximize_on_sphere(1.0, np.zeros(3), a)
+        assert value == pytest.approx(1.2, abs=1e-15)
+        assert np.allclose(np.abs(n), [0.0, 1.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_hard_case(self, rotated, rng):
+        # b has no component along v_min = e_x and |n(lambda_min)| = 0.25,
+        # so the maximizer is n(lambda_min) completed along e_x
+        a, b = np.diag([0.0, 1.0, 2.0]), np.array([0.0, 0.4, 0.6])
+        if rotated:  # g0 is then rounding-sized but not zero
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            a, b = q @ a @ q.T, q @ b
+        value, n = lindblad._maximize_on_sphere(0.0, b, a)
+        assert value == pytest.approx(0.4 * 0.2 + 0.6 * 0.15
+                                      - 0.2 ** 2 - 2.0 * 0.15 ** 2, abs=1e-14)
+        assert_global_max(0.0, b, a, value, n)
+
+    def test_hard_case_boundary(self):
+        # |n(lambda_min)| = 1 exactly: the hard-case completion is empty
+        a, b = np.diag([0.0, 1.0, 1.0]), np.array([0.0, -2.0, 0.0])
+        value, n = lindblad._maximize_on_sphere(0.0, b, a)
+        assert np.allclose(n, [0.0, 1.0, 0.0], atol=1e-15)
+        assert value == pytest.approx(1.0, abs=1e-15)
+
+    def test_isotropic(self):
+        b = np.array([0.1, -0.2, 0.05])
+        value, n = lindblad._maximize_on_sphere(0.5, b, 0.3 * np.eye(3))
+        assert value == pytest.approx(0.2 + np.linalg.norm(b), abs=1e-15)
+        assert np.allclose(n, -b / np.linalg.norm(b), atol=1e-15)
+        value, n = lindblad._maximize_on_sphere(0.5, np.zeros(3),
+                                                0.3 * np.eye(3))
+        assert value == pytest.approx(0.2, abs=1e-15)
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestEstimate:

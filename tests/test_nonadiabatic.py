@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import integrate_bare_schrodinger
 
 from ramansim import (ConfigurationError, NumericalError, PulseEnvelope,
                       gate_error_pure, integrate_amplitudes,
-                      integrate_amplitudes_batch, integrate_bare_schrodinger,
-                      nonadiabatic_error, solve_xmax)
+                      integrate_amplitudes_batch, nonadiabatic_error,
+                      solve_xmax)
 
 # frozen from an independent adaptive integration of the same system
 E_PI_15 = 1.2515490443e-05

@@ -162,6 +162,26 @@ class TestCalibratesOnce:
         assert calls == [(math.pi, (2,))]
         assert len(table) == 2
 
+    def test_decay_grid_floors(self, calls, monkeypatch):
+        floor_calls = []
+        batch = ramansim.sweeps.integrate_amplitudes_batch
+
+        def counting(chi, x_max, env=None, **kwargs):
+            floor_calls.append(np.shape(chi))
+            return batch(chi, x_max, env, **kwargs)
+
+        monkeypatch.setattr(ramansim.sweeps, "integrate_amplitudes_batch",
+                            counting)
+        detunings = [1500.0, 3000.0, 6000.0]
+        table = ratio_grid([2.0, 6.0], detunings, math.pi, 0.014)
+        assert floor_calls == [(3,)]
+        assert len(table) == 6
+        table, _ = sweep_error_vs_gamma(detunings, [5.0], math.pi / 2, 0.014)
+        assert floor_calls == [(3,), (3,)]
+        for det, row in zip(detunings, table.rows):
+            # the batch floor equals the scalar path's to the bit
+            assert row[3] == nonadiabatic_error(math.pi / 2, det * 0.014).error
+
 
 class TestSweepErrorVsGamma:
 
