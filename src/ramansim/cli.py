@@ -13,15 +13,14 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import math
 import os
 import re
 import shlex
 import sys
 import tempfile
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .lambda_frame import (MEV_TO_INV_NS_PHYSICAL, DriveConfig, PhysicalUnits,
@@ -143,57 +142,37 @@ def parse_initial(text):
     return qubit_state(theta, ph)
 
 
-@dataclass
-class RunConfig:
-    """Canonical, unit-resolved view of one CLI invocation."""
+def _timing(args, need_physical=False):
+    """(chi, detuning, tau) from --chi or any consistent pair of the three."""
+    chi, det, tau = args.chi, args.delta, args.tau
+    if det is not None and tau is not None:
+        derived = det * tau
+        if chi is not None and abs(chi - derived) > 1e-9 * max(1.0, derived):
+            raise ConfigurationError("--chi contradicts --delta * --tau")
+        chi = derived
+    elif chi is not None and det is not None:
+        tau = chi / det
+    elif chi is not None and tau is not None:
+        det = chi / tau
+    if chi is None:
+        raise ConfigurationError(
+            "need --chi, or two of (--chi, --delta, --tau)")
+    if need_physical and (det is None or tau is None):
+        raise ConfigurationError(
+            "this command needs physical timing: give two of "
+            "(--chi, --delta, --tau)")
+    return chi, det, tau
 
-    subcommand: str
-    units: PhysicalUnits
-    envelope: PulseEnvelope
-    angle: float | None = None
-    angles: list = field(default_factory=list)
-    alpha: float = 0.0
-    beta: float = math.pi / 4
-    chi: float | None = None
-    detuning: float | None = None
-    tau: float | None = None
-    chis: list | None = None
-    detunings: list | None = None
-    gammas: list | None = None
-    gamma0: float = 0.0
-    gamma1: float = 0.0
-    prefactor: float = 0.5
-    steps_per_unit: int = 2000
-    dt: float | None = None
-    record_stride: int = 10
-    initial: np.ndarray | None = None
-    enforce_regime: bool = True
-    output: str | None = None
 
-    def resolve_timing(self, need_physical=False):
-        """Fill (chi, detuning, tau) from any consistent pair."""
-        chi, det, tau = self.chi, self.detuning, self.tau
-        if det is not None and tau is not None:
-            derived = det * tau
-            if chi is not None and abs(chi - derived) > 1e-9 * max(1.0, derived):
-                raise ConfigurationError("--chi contradicts --delta * --tau")
-            chi = derived
-        elif chi is not None and det is not None:
-            tau = chi / det
-        elif chi is not None and tau is not None:
-            det = chi / tau
-        if chi is None:
-            raise ConfigurationError(
-                "need --chi, or two of (--chi, --delta, --tau)")
-        if need_physical and (det is None or tau is None):
-            raise ConfigurationError(
-                "this command needs physical timing: give two of "
-                "(--chi, --delta, --tau)")
-        self.chi, self.detuning, self.tau = chi, det, tau
+def _decay(args):
+    return DecayConfig(gamma0=args.gamma0, gamma1=args.gamma1,
+                       prefactor=args.prefactor)
 
-    def decay(self):
-        return DecayConfig(gamma0=self.gamma0, gamma1=self.gamma1,
-                           prefactor=self.prefactor)
+
+def _check_steps(args):
+    # checked here: the decay paths never reach integrate_amplitudes' check
+    if args.steps_per_unit < 1:
+        raise ConfigurationError("--steps-per-unit must be >= 1")
 
 
 def _fmt(v):
@@ -236,24 +215,25 @@ def write_table(table, path, command=None):
 
 def _print_kv(pairs):
     for k, v in pairs:
-        if isinstance(v, float):
-            print("%s = %s" % (k, _fmt(v)))
-        else:
-            print("%s = %s" % (k, v))
+        print("%s = %s" % (k, _fmt(v) if isinstance(v, float) else v))
 
 
-def cmd_frame(cfg):
-    cfg.resolve_timing()
-    x = solve_xmax(cfg.angle, cfg.chi, cfg.envelope)
-    lam = rotation_angle(cfg.chi, x, cfg.envelope)
-    axis = rotation_axis(cfg.alpha, cfg.beta)
-    det = cfg.detuning if cfg.detuning is not None else 1.0
-    scale = "ns^-1" if cfg.detuning is not None else "Delta"
-    om = det * x
-    es = eigensystem(om * math.cos(cfg.beta), om * math.sin(cfg.beta),
-                     det, cfg.alpha, beta=cfg.beta)
+# Handlers look library functions up as module globals when they run, so a
+# rebinding on this module (a test's or a tracer's) takes effect.  A handler
+# that builds a table returns it for run() to write.
+
+def cmd_frame(args):
+    env = PulseEnvelope(u_b=args.ub)
+    chi, det, tau = _timing(args)
+    x = solve_xmax(args.angle, chi, env)
+    lam = rotation_angle(chi, x, env)
+    axis = rotation_axis(args.alpha, args.beta)
+    unit, scale = (det, "ns^-1") if det is not None else (1.0, "Delta")
+    om = unit * x
+    es = eigensystem(om * math.cos(args.beta), om * math.sin(args.beta),
+                     unit, args.alpha, beta=args.beta)
     pairs = [
-        ("chi", cfg.chi),
+        ("chi", chi),
         ("x_max", x),
         ("rotation_angle_rad", lam),
         ("axis_x", axis[0]), ("axis_y", axis[1]), ("axis_z", axis[2]),
@@ -264,44 +244,44 @@ def cmd_frame(cfg):
         ("lambda2_peak", es.values[1]),
         ("lambda3_peak", es.values[2]),
     ]
-    if cfg.tau is not None:
-        pairs.insert(1, ("tau_ns", cfg.tau))
+    if tau is not None:
+        pairs.insert(1, ("tau_ns", tau))
     _print_kv(pairs)
-    return 0
 
 
-def cmd_gate(cfg):
-    decay = cfg.decay()
+def cmd_gate(args):
+    env = PulseEnvelope(u_b=args.ub)
+    _check_steps(args)
+    decay = _decay(args)
     if decay.total == 0.0:
-        cfg.resolve_timing()
-        if not cfg.angle > 0.0:
+        chi, _, _ = _timing(args)
+        if not args.angle > 0.0:
             raise ConfigurationError("angle must be positive")
         # nonadiabatic_error's composition, calibrating once for both the
         # error and the printed x_max
-        x = solve_xmax(cfg.angle, cfg.chi, cfg.envelope)
-        amps = integrate_amplitudes(cfg.chi, x, cfg.envelope,
-                                    steps_per_unit=cfg.steps_per_unit)
+        x = solve_xmax(args.angle, chi, env)
+        amps = integrate_amplitudes(chi, x, env,
+                                    steps_per_unit=args.steps_per_unit)
         res = gate_error_pure(amps.a2, amps.a3)
         _print_kv([
-            ("chi", cfg.chi),
+            ("chi", chi),
             ("x_max", x),
             ("error", res.error),
             ("abs_c", abs(res.c)),
             ("abs_d", abs(res.d)),
             ("p_star", res.p_star),
         ])
-        return 0
-    cfg.resolve_timing(need_physical=True)
-    drive = DriveConfig.for_rotation(cfg.angle, cfg.detuning, cfg.tau,
-                                     alpha=cfg.alpha, beta=cfg.beta,
-                                     envelope=cfg.envelope)
-    target = RotationSpec.from_angles(cfg.angle, cfg.alpha, cfg.beta)
-    err = gate_error_mixed(drive, decay, target, cfg.dt)
+        return
+    chi, det, tau = _timing(args, need_physical=True)
+    drive = DriveConfig.for_rotation(args.angle, det, tau, alpha=args.alpha,
+                                     beta=args.beta, envelope=env)
+    target = RotationSpec.from_angles(args.angle, args.alpha, args.beta)
+    err = gate_error_mixed(drive, decay, target, args.dt)
     # the same arguments again: _worst_case returns its cached result
-    _, worst_n = _worst_case(drive, decay, target, cfg.dt)
-    est = cfg.angle * decay.total / cfg.detuning
+    _, worst_n = _worst_case(drive, decay, target, args.dt)
+    est = args.angle * decay.total / det
     _print_kv([
-        ("chi", cfg.chi),
+        ("chi", chi),
         ("x_max", drive.x_max),
         ("error", err),
         ("estimate", est),
@@ -311,84 +291,61 @@ def cmd_gate(cfg):
         ("worst_n_y", worst_n[1]),
         ("worst_n_z", worst_n[2]),
     ])
-    return 0
 
 
-def cmd_trace(cfg, command):
-    cfg.resolve_timing(need_physical=True)
-    drive = DriveConfig.for_rotation(cfg.angle, cfg.detuning, cfg.tau,
-                                     alpha=cfg.alpha, beta=cfg.beta,
-                                     envelope=cfg.envelope)
-    decay = cfg.decay()
-    rho0 = None if cfg.initial is None else density_from_state(cfg.initial)
-    records = trace_run(drive, decay, rho0=rho0, dt=cfg.dt,
-                        record_stride=cfg.record_stride)
-    table = records_to_table(records, drive, decay,
-                             extra_metadata={"angle_rad": repr(cfg.angle)})
-    write_table(table, cfg.output, command=command)
-    return 0
+def cmd_trace(args):
+    env = PulseEnvelope(u_b=args.ub)
+    _, det, tau = _timing(args, need_physical=True)
+    drive = DriveConfig.for_rotation(args.angle, det, tau, alpha=args.alpha,
+                                     beta=args.beta, envelope=env)
+    decay = _decay(args)
+    rho0 = None if args.initial is None else density_from_state(args.initial)
+    records = trace_run(drive, decay, rho0=rho0, dt=args.dt,
+                        record_stride=args.stride)
+    return records_to_table(records, drive, decay,
+                            extra_metadata={"angle_rad": repr(args.angle)})
 
 
-def cmd_sweep_chi(cfg, command):
-    decay = cfg.decay()
-    table = sweep_error_vs_chi(
-        cfg.angles, cfg.chis,
-        decay=decay if decay.total > 0.0 else None,
-        detuning=cfg.detuning, env=cfg.envelope,
-        steps_per_unit=cfg.steps_per_unit, dt=cfg.dt,
-        alpha=cfg.alpha, beta=cfg.beta)
-    write_table(table, cfg.output, command=command)
-    return 0
+def cmd_sweep_chi(args):
+    env = PulseEnvelope(u_b=args.ub)
+    _check_steps(args)
+    return sweep_error_vs_chi(
+        args.angle, args.chi, decay=_decay(args), detuning=args.delta,
+        env=env, steps_per_unit=args.steps_per_unit, dt=args.dt,
+        alpha=args.alpha, beta=args.beta)
 
 
-def cmd_sweep_xmax(cfg, command):
-    table = sweep_xmax_vs_chi(cfg.angle, cfg.chis, env=cfg.envelope)
-    write_table(table, cfg.output, command=command)
-    return 0
+def cmd_sweep_xmax(args):
+    return sweep_xmax_vs_chi(args.angle, args.chi,
+                             env=PulseEnvelope(u_b=args.ub))
 
 
-def _fits_to_metadata(table, fits, key_prefix):
+def cmd_grid(args):
+    """sweep-gamma, sweep-delta and ratio-grid; fits go into the metadata."""
+    sweep, fit_axis = {
+        "sweep-gamma": (sweep_error_vs_gamma, "delta"),
+        "sweep-delta": (sweep_error_vs_delta, "gamma"),
+        "ratio-grid": (ratio_grid, None),
+    }[args.subcommand]
+    result = sweep(
+        gammas=args.gamma, detunings=args.delta, angle=args.angle,
+        tau=args.tau, prefactor=args.prefactor,
+        env=PulseEnvelope(u_b=args.ub), dt=args.dt, alpha=args.alpha,
+        beta=args.beta, enforce_regime=args.enforce_regime)
+    if fit_axis is None:
+        return result
+    table, fits = result
     meta = dict(table.metadata)
-    for key in sorted(fits):
-        fit = fits[key]
-        meta["fit_%s_%s" % (key_prefix, _fmt(key))] = (
-            "model=%s,coefficient=%s,r_squared=%s,residual_max=%s"
-            % (fit.model, repr(fit.coefficient), repr(fit.r_squared),
-               repr(fit.residual_max)))
-    return type(table)(name=table.name, columns=table.columns,
-                       rows=table.rows, metadata=meta)
+    for key, fit in sorted(fits.items()):
+        meta["fit_%s_%s" % (fit_axis, _fmt(key))] = (
+            "model=%s,coefficient=%r,r_squared=%r,residual_max=%r"
+            % (fit.model, fit.coefficient, fit.r_squared, fit.residual_max))
+    return dataclasses.replace(table, metadata=meta)
 
 
-def cmd_sweep_gamma(cfg, command):
-    table, fits = sweep_error_vs_gamma(
-        cfg.detunings, cfg.gammas, cfg.angle, cfg.tau,
-        prefactor=cfg.prefactor, env=cfg.envelope, dt=cfg.dt,
-        alpha=cfg.alpha, beta=cfg.beta, enforce_regime=cfg.enforce_regime)
-    write_table(_fits_to_metadata(table, fits, "delta"), cfg.output,
-                command=command)
-    return 0
-
-
-def cmd_sweep_delta(cfg, command):
-    table, fits = sweep_error_vs_delta(
-        cfg.gammas, cfg.detunings, cfg.angle, cfg.tau,
-        prefactor=cfg.prefactor, env=cfg.envelope, dt=cfg.dt,
-        alpha=cfg.alpha, beta=cfg.beta, enforce_regime=cfg.enforce_regime)
-    write_table(_fits_to_metadata(table, fits, "gamma"), cfg.output,
-                command=command)
-    return 0
-
-
-def cmd_ratio_grid(cfg, command):
-    table = ratio_grid(
-        cfg.gammas, cfg.detunings, cfg.angle, cfg.tau,
-        prefactor=cfg.prefactor, env=cfg.envelope, dt=cfg.dt,
-        alpha=cfg.alpha, beta=cfg.beta, enforce_regime=cfg.enforce_regime)
-    write_table(table, cfg.output, command=command)
-    return 0
-
-
+@functools.lru_cache(maxsize=2)
 def build_parser(units):
+    """Cached raman-sim parser for one meV conversion; callers share it."""
     energy = make_energy_parser(units)
     energy_list = make_list_parser(energy)
     rate_list = make_list_parser(parse_rate)
@@ -402,193 +359,136 @@ def build_parser(units):
                      help="meV conversion: 1500 ns^-1 (rounded) or 1519.3")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, need_angle=True):
+    def command(name, handler, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        return p
+
+    def common(p, need_angle=True, need_axis=True):
         if need_angle:
             p.add_argument("--angle", type=parse_angle, required=True,
                            help="target rotation angle (pi forms ok)")
-        p.add_argument("--alpha", type=parse_angle, default=0.0)
-        p.add_argument("--beta", type=parse_angle, default=math.pi / 4)
+        if need_axis:
+            p.add_argument("--alpha", type=parse_angle, default=0.0)
+            p.add_argument("--beta", type=parse_angle, default=math.pi / 4)
         p.add_argument("--ub", type=float, default=3.0,
                        help="envelope truncation halfwidth u_b")
-        p.add_argument("-o", "--output", default=None,
-                       help="output file (default stdout)")
+
+    def output_opt(p):
+        p.add_argument("-o", "--output", help="output file (default stdout)")
 
     def timing(p):
-        p.add_argument("--chi", type=float, default=None)
-        p.add_argument("--delta", type=energy, default=None,
+        p.add_argument("--chi", type=float)
+        p.add_argument("--delta", type=energy,
                        help="detuning (meV or ns^-1 suffix)")
-        p.add_argument("--tau", type=parse_time, default=None,
+        p.add_argument("--tau", type=parse_time,
                        help="pulse halfwidth (ps or ns suffix)")
+
+    def prefactor_opt(p):
+        p.add_argument("--prefactor", type=float, choices=(0.5, 1.0),
+                       default=0.5, help="dissipator prefactor")
 
     def decay_opts(p):
         p.add_argument("--gamma0", type=parse_rate, default=0.0,
                        help="decay rate to |0> (ns^-1 suffix)")
         p.add_argument("--gamma1", type=parse_rate, default=0.0,
                        help="decay rate to |1> (ns^-1 suffix)")
-        p.add_argument("--prefactor", type=float, choices=(0.5, 1.0),
-                       default=0.5, help="dissipator prefactor")
+        prefactor_opt(p)
 
     def steps_opt(p):
         p.add_argument("--steps-per-unit", type=int, default=2000)
 
     def dt_opt(p):
-        p.add_argument("--dt", type=parse_time, default=None,
+        p.add_argument("--dt", type=parse_time,
                        help="master-equation step (ps or ns suffix)")
 
-    p = sub.add_parser("frame", help="print calibration and eigensystem")
+    p = command("frame", cmd_frame, "print calibration and eigensystem")
     common(p)
     timing(p)
-    p.set_defaults(handler="frame")
 
-    p = sub.add_parser("gate", help="single worst-case gate error")
+    p = command("gate", cmd_gate, "single worst-case gate error")
     common(p)
     timing(p)
     decay_opts(p)
     steps_opt(p)
     dt_opt(p)
-    p.set_defaults(handler="gate")
 
-    p = sub.add_parser("trace", help="time series CSV of one run")
+    p = command("trace", cmd_trace, "time series CSV of one run")
     common(p)
+    output_opt(p)
     timing(p)
     decay_opts(p)
     dt_opt(p)
-    p.add_argument("--initial", type=parse_initial, default=None,
+    p.add_argument("--initial", type=parse_initial,
                    help="initial qubit state: 0,1,+,-,+i,-i or 'theta,phi'")
     p.add_argument("--stride", type=int, default=10,
                    help="record every N-th integrator step")
-    p.set_defaults(handler="trace")
 
-    p = sub.add_parser("sweep-xmax", help="x_max calibration table vs chi")
-    common(p)
+    # the calibration does not depend on the rotation axis
+    p = command("sweep-xmax", cmd_sweep_xmax, "x_max calibration table vs chi")
+    common(p, need_axis=False)
+    output_opt(p)
     p.add_argument("--chi", type=float_list, required=True,
                    help="comma list or start:stop:step")
-    p.set_defaults(handler="sweep-xmax")
 
-    p = sub.add_parser("sweep-chi", help="error vs chi table")
+    p = command("sweep-chi", cmd_sweep_chi, "error vs chi table")
     common(p, need_angle=False)
+    output_opt(p)
     p.add_argument("--angle", type=parse_angle, action="append",
                    required=True, help="repeatable target angle")
     p.add_argument("--chi", type=float_list, required=True,
                    help="comma list or start:stop:step")
-    p.add_argument("--delta", type=energy, default=None,
+    p.add_argument("--delta", type=energy,
                    help="fixed detuning (needed when gamma > 0)")
     decay_opts(p)
     steps_opt(p)
     dt_opt(p)
-    p.set_defaults(handler="sweep-chi")
 
-    def grid_sweep(name, help_text):
-        q = sub.add_parser(name, help=help_text)
-        common(q)
-        q.add_argument("--tau", type=parse_time, required=True)
-        q.add_argument("--delta", type=energy_list, required=True,
+    for name, help_text in (
+            ("sweep-gamma", "error vs gamma with per-detuning fits"),
+            ("sweep-delta", "error vs detuning with per-gamma fits"),
+            ("ratio-grid", "exact error over the analytic estimate")):
+        p = command(name, cmd_grid, help_text)
+        common(p)
+        output_opt(p)
+        p.add_argument("--tau", type=parse_time, required=True)
+        p.add_argument("--delta", type=energy_list, required=True,
                        help="detunings (comma list or range, meV/ns^-1)")
-        q.add_argument("--gamma", type=rate_list, required=True,
+        p.add_argument("--gamma", type=rate_list, required=True,
                        help="total decay rates (comma list or range, ns^-1)")
-        q.add_argument("--prefactor", type=float, choices=(0.5, 1.0),
-                       default=0.5)
-        dt_opt(q)
-        q.add_argument("--no-regime-guard", dest="enforce_regime",
+        prefactor_opt(p)
+        dt_opt(p)
+        p.add_argument("--no-regime-guard", dest="enforce_regime",
                        action="store_false",
                        help="demote the chi >= 20 guard to a warning")
-        q.set_defaults(handler=name)
-        return q
-
-    grid_sweep("sweep-gamma", "error vs gamma with per-detuning fits")
-    grid_sweep("sweep-delta", "error vs detuning with per-gamma fits")
-    grid_sweep("ratio-grid", "exact error over the analytic estimate")
 
     return top
 
 
-def _build_config(args, units):
-    cfg = RunConfig(subcommand=args.handler, units=units,
-                    envelope=PulseEnvelope(u_b=getattr(args, "ub", 3.0)))
-    cfg.alpha = getattr(args, "alpha", 0.0)
-    cfg.beta = getattr(args, "beta", math.pi / 4)
-    cfg.output = getattr(args, "output", None)
-    cfg.tau = getattr(args, "tau", None)
-    cfg.gamma0 = getattr(args, "gamma0", 0.0)
-    cfg.gamma1 = getattr(args, "gamma1", 0.0)
-    cfg.prefactor = getattr(args, "prefactor", 0.5)
-    cfg.steps_per_unit = getattr(args, "steps_per_unit", 2000)
-    cfg.dt = getattr(args, "dt", None)
-    cfg.record_stride = getattr(args, "stride", 10)
-    cfg.initial = getattr(args, "initial", None)
-    cfg.enforce_regime = getattr(args, "enforce_regime", True)
-
-    angle = getattr(args, "angle", None)
-    if isinstance(angle, list):
-        cfg.angles = angle
-    elif angle is not None:
-        cfg.angle = angle
-
-    chi = getattr(args, "chi", None)
-    if isinstance(chi, list):
-        cfg.chis = chi
-    elif chi is not None:
-        cfg.chi = chi
-
-    delta = getattr(args, "delta", None)
-    if isinstance(delta, list):
-        cfg.detunings = delta
-    elif delta is not None:
-        cfg.detuning = delta
-
-    gamma = getattr(args, "gamma", None)
-    if isinstance(gamma, list):
-        cfg.gammas = gamma
-
-    if cfg.steps_per_unit < 1:
-        raise ConfigurationError("--steps-per-unit must be >= 1")
-    if cfg.record_stride < 1:
-        raise ConfigurationError("--stride must be >= 1")
-    return cfg
-
-
 def run(argv=None):
-    """Parse argv, dispatch, return the process exit code."""
+    """Parse argv, run its subcommand, return the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        units_probe = argparse.ArgumentParser(add_help=False)
-        units_probe.add_argument("--units", choices=("rounded", "physical"),
-                                 default="rounded")
-        probed, _ = units_probe.parse_known_args(argv)
-        units = PhysicalUnits(MEV_TO_INV_NS_PHYSICAL
-                              if probed.units == "physical" else 1500.0)
-        parser = build_parser(units)
-        args = parser.parse_args(argv)
+        args = build_parser(PhysicalUnits()).parse_args(argv)
+        if args.units == "physical":
+            # meV values were converted at the rounded rate: parse again
+            args = build_parser(
+                PhysicalUnits(MEV_TO_INV_NS_PHYSICAL)).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
-    command = shlex.join([str(a) for a in argv])
     try:
-        cfg = _build_config(args, units)
-        if cfg.subcommand == "frame":
-            return cmd_frame(cfg)
-        if cfg.subcommand == "gate":
-            return cmd_gate(cfg)
-        if cfg.subcommand == "trace":
-            return cmd_trace(cfg, command)
-        if cfg.subcommand == "sweep-xmax":
-            return cmd_sweep_xmax(cfg, command)
-        if cfg.subcommand == "sweep-chi":
-            return cmd_sweep_chi(cfg, command)
-        if cfg.subcommand == "sweep-gamma":
-            return cmd_sweep_gamma(cfg, command)
-        if cfg.subcommand == "sweep-delta":
-            return cmd_sweep_delta(cfg, command)
-        if cfg.subcommand == "ratio-grid":
-            return cmd_ratio_grid(cfg, command)
-        raise ConfigurationError("unknown subcommand %r" % cfg.subcommand)
+        table = args.handler(args)
+        if table is not None:
+            write_table(table, args.output, command=shlex.join(argv))
     except ConfigurationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except NumericalError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 3
+    return 0
 
 
 def main():

@@ -97,23 +97,11 @@ def fit_inverse(x, y):
                      residual_max=float(rel))
 
 
-def _check_regime(chi, enforce):
-    if chi < CHI_REGIME_MIN - 1e-9:
-        msg = ("chi = %.6g below the adiabatic working range (>= %g)"
-               % (chi, CHI_REGIME_MIN))
-        if enforce:
-            raise ConfigurationError(msg + "; pass enforce_regime=False to override")
-        warnings.warn(msg)
-
-
-def _check_percent_level(angle, gamma_max, detuning_min, enforce):
-    worst = angle * gamma_max / detuning_min
-    if worst > ESTIMATE_REGIME_MAX + 1e-12:
-        msg = ("estimated error %.3g beyond the percent-level regime (<= %g)"
-               % (worst, ESTIMATE_REGIME_MAX))
-        if enforce:
-            raise ConfigurationError(msg + "; pass enforce_regime=False to override")
-        warnings.warn(msg)
+def _out_of_regime(msg, enforce):
+    """Raise on input outside the working range, or warn if not enforced."""
+    if enforce:
+        raise ConfigurationError(msg + "; pass enforce_regime=False to override")
+    warnings.warn(msg)
 
 
 def _tool_tag():
@@ -235,29 +223,24 @@ def _decay_grid_rows(angle, tau, detunings, gammas, prefactor, env, dt,
 
     chis = detunings * tau
     for chi in chis:
-        _check_regime(chi, enforce_regime)
+        if chi < CHI_REGIME_MIN - 1e-9:
+            _out_of_regime("chi = %.6g below the adiabatic working range "
+                           "(>= %g)" % (chi, CHI_REGIME_MIN), enforce_regime)
     xs = solve_xmax(angle, chis, env)
     a2s, a3s, _ = integrate_amplitudes_batch(chis, xs, env)
-    per_delta = {}
+    target = RotationSpec.from_angles(angle, alpha, beta)
+    results = []
     for det, x, a2, a3 in zip(detunings.tolist(), xs.tolist(),
                               a2s.tolist(), a3s.tolist()):
         floor = gate_error_pure(a2, a3).error
         drive = DriveConfig(detuning=det, tau=tau, x_max=x,
                             alpha=alpha, beta=beta, envelope=env)
-        per_delta[det] = (drive, floor)
-
-    target = RotationSpec.from_angles(angle, alpha, beta)
-    points = [(float(det), float(g)) for det in detunings for g in gammas]
-
-    def evaluate(pt):
-        det, gamma = pt
-        drive, floor = per_delta[det]
-        decay = DecayConfig(gamma0=0.5 * gamma, gamma1=0.5 * gamma,
-                            prefactor=prefactor)
-        err = gate_error_mixed(drive, decay, target=target, dt=dt)
-        return det, gamma, err, floor
-
-    return detunings, gammas, [evaluate(pt) for pt in points]
+        for gamma in gammas.tolist():
+            decay = DecayConfig(gamma0=0.5 * gamma, gamma1=0.5 * gamma,
+                                prefactor=prefactor)
+            err = gate_error_mixed(drive, decay, target=target, dt=dt)
+            results.append((det, gamma, err, floor))
+    return detunings, gammas, results
 
 
 def _decay_grid_metadata(table, angle, tau, detunings, gammas, prefactor,
@@ -368,8 +351,11 @@ def ratio_grid(gammas, detunings, angle, tau, prefactor=0.5, env=None,
     gammas_arr = np.asarray(gammas, dtype=float)
     detunings_arr = np.asarray(detunings, dtype=float)
     if np.any(gammas_arr > 0.0):
-        _check_percent_level(angle, float(np.max(gammas_arr)),
-                             float(np.min(detunings_arr)), enforce_regime)
+        worst = angle * float(np.max(gammas_arr)) / float(np.min(detunings_arr))
+        if worst > ESTIMATE_REGIME_MAX + 1e-12:
+            _out_of_regime("estimated error %.3g beyond the percent-level "
+                           "regime (<= %g)" % (worst, ESTIMATE_REGIME_MAX),
+                           enforce_regime)
     detunings_arr, gammas_arr, results = _decay_grid_rows(
         angle, tau, detunings_arr, gammas_arr, prefactor, env, dt, alpha,
         beta, enforce_regime)

@@ -15,6 +15,7 @@ from ramansim import (ConfigurationError, DecayConfig, DriveConfig,
                       nonadiabatic_error, solve_xmax)
 from ramansim.cli import (make_energy_parser, make_list_parser, parse_angle,
                           parse_initial, parse_rate, parse_time, run)
+from ramansim.sweeps import sweep_error_vs_delta, sweep_error_vs_gamma
 
 ROUNDED = PhysicalUnits(mev_to_inv_ns=1500.0)
 
@@ -158,10 +159,46 @@ class TestExitCodes:
         ["sweep-chi", "--angle", "pi", "--chi", "15", "--grid", "3x3"],
         ["gate", "--angle", "pi", "--delta", "1meV", "--tau", "13.3ps",
          "--gamma0", "5ns^-1", "--grid", "17x32"],
+        ["frame", "--angle", "pi", "--chi", "15", "-o", "out.csv"],
+        ["gate", "--angle", "pi", "--chi", "15", "-o", "out.csv"],
+        ["sweep-xmax", "--angle", "pi", "--chi", "20,21", "--alpha", "0.3"],
+        ["sweep-xmax", "--angle", "pi", "--chi", "20,21", "--beta", "0.3"],
     ])
-    def test_unread_flags_rejected(self, argv, capsys):
+    def test_unread_flags_rejected(self, argv, capsys, tmp_path,
+                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert run(argv) == 2
         capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("units, code", [("rounded", 0),
+                                             ("physical", 2)])
+    def test_timing_triple(self, units, code, capsys):
+        # 1 meV * 10 ps is chi = 15 in rounded units and 15.193 in
+        # physical ones
+        assert run(["--units", units, "frame", "--angle", "pi", "--chi",
+                    "15", "--delta", "1meV", "--tau", "10ps"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: --chi contradicts")
+
+    def test_trace_needs_physical_timing(self, capsys):
+        assert run(["trace", "--angle", "pi", "--chi", "15"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "needs physical timing" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gate", "--angle", "pi", "--chi", "15", "--steps-per-unit", "0"],
+        ["gate", "--angle", "pi", "--delta", "1meV", "--tau", "13.3ps",
+         "--gamma0", "5ns^-1", "--steps-per-unit", "0"],
+        ["sweep-chi", "--angle", "pi", "--chi", "15", "--steps-per-unit",
+         "0"],
+        ["trace", "--angle", "pi", "--delta", "1meV", "--chi", "15",
+         "--stride", "0"],
+    ])
+    def test_step_counts_must_be_positive(self, argv, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_output_into_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "x.csv"
@@ -215,6 +252,33 @@ class TestExitCodes:
         assert rc == 0
         kv = kv_from_stdout(capsys.readouterr().out)
         assert float(kv["chi"]) == pytest.approx(15.193, rel=1e-12)
+
+    def test_units_switch_between_calls(self, capsys):
+        argv = ["frame", "--angle", "pi", "--delta", "1meV", "--tau", "10ps"]
+        assert run(["--units", "physical"] + argv) == 0
+        assert kv_from_stdout(capsys.readouterr().out)["chi"] == "15.193"
+        assert run(argv) == 0
+        assert kv_from_stdout(capsys.readouterr().out)["chi"] == "15"
+
+    def test_library_rebinding_honoured_after_warm_run(self, capsys,
+                                                       monkeypatch):
+        # handlers must look library functions up at call time, so that
+        # a rebinding after the first run (as a tracer does) takes effect
+        argv = ["ratio-grid", "--angle", "pi", "--tau", "14ps", "--delta",
+                "2meV", "--gamma", "4ns^-1"]
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        calls = []
+        original = ramansim.cli.ratio_grid
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ramansim.cli, "ratio_grid", counting)
+        assert run(argv) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == first
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -272,6 +336,34 @@ class TestCsvOutput:
         assert lines[0] == "angle,chi,x_max,error,abs_c,abs_d,p_star"
         errors = [float(l.split(",")[3]) for l in lines[1:]]
         assert errors == sorted(errors, reverse=True)
+
+
+@pytest.mark.parametrize("subcommand, argv, prefix", [
+    ("sweep-gamma", ["--delta", "1meV", "--gamma", "2,6ns^-1"], "delta"),
+    ("sweep-delta", ["--delta", "1,2meV", "--gamma", "4ns^-1"], "gamma"),
+])
+def test_grid_fits_in_metadata(subcommand, argv, prefix, tmp_path):
+    out = tmp_path / "fit.csv"
+    assert run([subcommand, "--angle", "pi", "--tau", "14ps"] + argv
+               + ["-o", str(out)]) == 0
+    energy = make_list_parser(make_energy_parser(ROUNDED))
+    rate = make_list_parser(parse_rate)
+    deltas, gammas = energy(argv[1]), rate(argv[3])
+    tau = parse_time("14ps")
+    if subcommand == "sweep-gamma":
+        _, fits = sweep_error_vs_gamma(deltas, gammas, math.pi, tau)
+    else:
+        _, fits = sweep_error_vs_delta(gammas, deltas, math.pi, tau)
+    assert len(fits) == 1
+    (key, fit), = fits.items()
+    expected = ("# fit_%s_%s=model=%s,coefficient=%r,r_squared=%r,"
+                "residual_max=%r" % (prefix, "%.12g" % key, fit.model,
+                                     fit.coefficient, fit.r_squared,
+                                     fit.residual_max))
+    lines = out.read_text().splitlines()
+    assert expected in lines
+    assert lines.index(expected) < lines.index(
+        next(l for l in lines if not l.startswith("#")))
 
 
 def test_run_path_imports_no_scipy(tmp_path):
