@@ -43,12 +43,8 @@ def parse_angle(text):
     m = _PI_FORM.match(t)
     if m:
         num, den = m.group(1), m.group(2)
-        if num in ("", "+"):
-            scale = 1.0
-        elif num == "-":
-            scale = -1.0
-        else:
-            scale = float(num)
+        # a bare sign, or none, means one
+        scale = float(num + "1" if num in ("", "+", "-") else num)
         if den:
             scale /= float(den)
         return scale * math.pi
@@ -58,45 +54,32 @@ def parse_angle(text):
         raise ConfigurationError("cannot parse angle %r" % text) from None
 
 
-def _bare_or_unit(text, kind):
-    # a bare number is only legal when it is zero
-    try:
-        v = float(text)
-    except ValueError:
-        raise ConfigurationError(
-            "cannot parse %s %r (unit suffix required)" % (kind, text)) from None
-    if v == 0.0:
-        return 0.0
-    raise ConfigurationError("missing unit suffix on %s %r" % (kind, text))
-
-
-def make_energy_parser(units):
+def _unit_parser(kind, scales):
+    # a number with one of the suffixes in scales, times that suffix's
+    # scale; a bare number is only legal when it is zero
     def parse(text):
         t = text.strip()
-        if t.endswith("meV"):
-            return float(t[:-3]) * units.mev_to_inv_ns
-        if t.endswith("ns^-1"):
-            return float(t[:-5])
-        return _bare_or_unit(t, "energy")
+        suffix = next((u for u in scales if t.endswith(u)), "")
+        if suffix:
+            return float(t[:-len(suffix)]) * scales[suffix]
+        try:
+            v = float(t)
+        except ValueError:
+            raise ConfigurationError(
+                "cannot parse %s %r (unit suffix required)" % (kind, t)) from None
+        if v == 0.0:
+            return 0.0
+        raise ConfigurationError("missing unit suffix on %s %r" % (kind, t))
     return parse
 
 
-def parse_time(text):
-    """Time in ns; accepts ps or ns suffix."""
-    t = text.strip()
-    if t.endswith("ps"):
-        return float(t[:-2]) * 1e-3
-    if t.endswith("ns"):
-        return float(t[:-2])
-    return _bare_or_unit(t, "time")
+def make_energy_parser(units):
+    """Parser of energies in ns^-1 from a meV or ns^-1 suffix."""
+    return _unit_parser("energy", {"meV": units.mev_to_inv_ns, "ns^-1": 1.0})
 
 
-def parse_rate(text):
-    """Decay rate in ns^-1."""
-    t = text.strip()
-    if t.endswith("ns^-1"):
-        return float(t[:-5])
-    return _bare_or_unit(t, "rate")
+parse_time = _unit_parser("time", {"ps": 1e-3, "ns": 1.0})  # in ns
+parse_rate = _unit_parser("rate", {"ns^-1": 1.0})  # decay rate in ns^-1
 
 
 def make_list_parser(scalar):
@@ -169,10 +152,19 @@ def _decay(args):
                        prefactor=args.prefactor)
 
 
-def _check_steps(args):
-    # checked here: the decay paths never reach integrate_amplitudes' check
-    if args.steps_per_unit < 1:
-        raise ConfigurationError("--steps-per-unit must be >= 1")
+def _step_option(args, decay):
+    # the step keyword of the path decay selects (--steps-per-unit without
+    # it, --dt with it); the other path's flag is an error
+    if decay.total > 0.0:
+        if args.steps_per_unit is not None:
+            raise ConfigurationError(
+                "--steps-per-unit applies only without decay; use --dt")
+        return {"dt": args.dt}
+    if args.dt is not None:
+        raise ConfigurationError(
+            "--dt applies only with decay; use --steps-per-unit")
+    steps = args.steps_per_unit
+    return {} if steps is None else {"steps_per_unit": steps}
 
 
 def _fmt(v):
@@ -251,8 +243,8 @@ def cmd_frame(args):
 
 def cmd_gate(args):
     env = PulseEnvelope(u_b=args.ub)
-    _check_steps(args)
     decay = _decay(args)
+    step = _step_option(args, decay)
     if decay.total == 0.0:
         chi, _, _ = _timing(args)
         if not args.angle > 0.0:
@@ -260,8 +252,7 @@ def cmd_gate(args):
         # nonadiabatic_error's composition, calibrating once for both the
         # error and the printed x_max
         x = solve_xmax(args.angle, chi, env)
-        amps = integrate_amplitudes(chi, x, env,
-                                    steps_per_unit=args.steps_per_unit)
+        amps = integrate_amplitudes(chi, x, env, **step)
         res = gate_error_pure(amps.a2, amps.a3)
         _print_kv([
             ("chi", chi),
@@ -307,12 +298,11 @@ def cmd_trace(args):
 
 
 def cmd_sweep_chi(args):
-    env = PulseEnvelope(u_b=args.ub)
-    _check_steps(args)
+    decay = _decay(args)
     return sweep_error_vs_chi(
-        args.angle, args.chi, decay=_decay(args), detuning=args.delta,
-        env=env, steps_per_unit=args.steps_per_unit, dt=args.dt,
-        alpha=args.alpha, beta=args.beta)
+        args.angle, args.chi, decay=decay, detuning=args.delta,
+        env=PulseEnvelope(u_b=args.ub), alpha=args.alpha, beta=args.beta,
+        **_step_option(args, decay))
 
 
 def cmd_sweep_xmax(args):
@@ -346,10 +336,25 @@ def cmd_grid(args):
 @functools.lru_cache(maxsize=2)
 def build_parser(units):
     """Cached raman-sim parser for one meV conversion; callers share it."""
+    def argument_type(parse):
+        # argparse would print "invalid <function name> value" for these
+        def wrapped(text):
+            try:
+                return parse(text)
+            except ConfigurationError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    "cannot parse %r" % text) from None
+        return wrapped
+
     energy = make_energy_parser(units)
-    energy_list = make_list_parser(energy)
-    rate_list = make_list_parser(parse_rate)
-    float_list = make_list_parser(float)
+    energy_list, rate_list, float_list = (
+        argument_type(make_list_parser(scalar))
+        for scalar in (energy, parse_rate, float))
+    energy, angle, time, rate, initial = (
+        argument_type(parse) for parse in
+        (energy, parse_angle, parse_time, parse_rate, parse_initial))
 
     top = argparse.ArgumentParser(
         prog="raman-sim",
@@ -366,11 +371,11 @@ def build_parser(units):
 
     def common(p, need_angle=True, need_axis=True):
         if need_angle:
-            p.add_argument("--angle", type=parse_angle, required=True,
+            p.add_argument("--angle", type=angle, required=True,
                            help="target rotation angle (pi forms ok)")
         if need_axis:
-            p.add_argument("--alpha", type=parse_angle, default=0.0)
-            p.add_argument("--beta", type=parse_angle, default=math.pi / 4)
+            p.add_argument("--alpha", type=angle, default=0.0)
+            p.add_argument("--beta", type=angle, default=math.pi / 4)
         p.add_argument("--ub", type=float, default=3.0,
                        help="envelope truncation halfwidth u_b")
 
@@ -381,7 +386,7 @@ def build_parser(units):
         p.add_argument("--chi", type=float)
         p.add_argument("--delta", type=energy,
                        help="detuning (meV or ns^-1 suffix)")
-        p.add_argument("--tau", type=parse_time,
+        p.add_argument("--tau", type=time,
                        help="pulse halfwidth (ps or ns suffix)")
 
     def prefactor_opt(p):
@@ -389,17 +394,18 @@ def build_parser(units):
                        default=0.5, help="dissipator prefactor")
 
     def decay_opts(p):
-        p.add_argument("--gamma0", type=parse_rate, default=0.0,
+        p.add_argument("--gamma0", type=rate, default=0.0,
                        help="decay rate to |0> (ns^-1 suffix)")
-        p.add_argument("--gamma1", type=parse_rate, default=0.0,
+        p.add_argument("--gamma1", type=rate, default=0.0,
                        help="decay rate to |1> (ns^-1 suffix)")
         prefactor_opt(p)
 
     def steps_opt(p):
-        p.add_argument("--steps-per-unit", type=int, default=2000)
+        p.add_argument("--steps-per-unit", type=int,
+                       help="amplitude RK4 steps per unit of u (no decay)")
 
     def dt_opt(p):
-        p.add_argument("--dt", type=parse_time,
+        p.add_argument("--dt", type=time,
                        help="master-equation step (ps or ns suffix)")
 
     p = command("frame", cmd_frame, "print calibration and eigensystem")
@@ -419,7 +425,7 @@ def build_parser(units):
     timing(p)
     decay_opts(p)
     dt_opt(p)
-    p.add_argument("--initial", type=parse_initial,
+    p.add_argument("--initial", type=initial,
                    help="initial qubit state: 0,1,+,-,+i,-i or 'theta,phi'")
     p.add_argument("--stride", type=int, default=10,
                    help="record every N-th integrator step")
@@ -434,7 +440,7 @@ def build_parser(units):
     p = command("sweep-chi", cmd_sweep_chi, "error vs chi table")
     common(p, need_angle=False)
     output_opt(p)
-    p.add_argument("--angle", type=parse_angle, action="append",
+    p.add_argument("--angle", type=angle, action="append",
                    required=True, help="repeatable target angle")
     p.add_argument("--chi", type=float_list, required=True,
                    help="comma list or start:stop:step")
@@ -451,7 +457,7 @@ def build_parser(units):
         p = command(name, cmd_grid, help_text)
         common(p)
         output_opt(p)
-        p.add_argument("--tau", type=parse_time, required=True)
+        p.add_argument("--tau", type=time, required=True)
         p.add_argument("--delta", type=energy_list, required=True,
                        help="detunings (comma list or range, meV/ns^-1)")
         p.add_argument("--gamma", type=rate_list, required=True,

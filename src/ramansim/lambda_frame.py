@@ -127,8 +127,8 @@ def eigensystem(omega1, omega2, detuning, alpha=0.0, beta=None):
 
     Parameters
     ----------
-    omega1, omega2 : float
-        Rabi frequencies [ns^-1], both >= 0.
+    omega1, omega2 : float or array_like
+        Rabi frequencies [ns^-1], all >= 0; arrays broadcast together.
     detuning : float
         Shared detuning Delta > 0 [ns^-1].
     alpha : float
@@ -142,29 +142,37 @@ def eigensystem(omega1, omega2, detuning, alpha=0.0, beta=None):
     -------
     AdiabaticEigensystem
         Eigenvalues (0, -2 Z sin^2 phi, 2 Z cos^2 phi) and unit-norm
-        eigenvectors; no numeric diagonalizer is involved.
+        eigenvectors; no numeric diagonalizer is involved.  Scalars give
+        float omega, z and phi, values of shape (3,) and vectors (3, 3);
+        arrays of shape s give (s), (s + (3,)) and (s + (3, 3)).
     """
+    omega1, omega2 = np.broadcast_arrays(np.asarray(omega1, dtype=float),
+                                         np.asarray(omega2, dtype=float))
     if not detuning > 0.0:
         raise ConfigurationError("detuning must be positive")
-    if omega1 < 0.0 or omega2 < 0.0:
+    if np.any(omega1 < 0.0) or np.any(omega2 < 0.0):
         raise ConfigurationError("Rabi frequencies must be non-negative")
 
-    omega = math.hypot(omega1, omega2)
-    z = math.hypot(omega, 0.5 * detuning)
-    phi = 0.5 * math.atan2(2.0 * omega, detuning)
+    omega = np.hypot(omega1, omega2)
+    z = np.hypot(omega, 0.5 * detuning)
+    phi = 0.5 * np.arctan2(2.0 * omega, detuning)
     if beta is None:
-        beta = math.atan2(omega2, omega1)
+        beta = np.arctan2(omega2, omega1)
 
-    sb, cb = math.sin(beta), math.cos(beta)
-    sp, cp = math.sin(phi), math.cos(phi)
+    sb = np.broadcast_to(np.sin(beta), omega.shape)
+    cb = np.broadcast_to(np.cos(beta), omega.shape)
+    sp, cp = np.sin(phi), np.cos(phi)
     ea = complex(math.cos(alpha), math.sin(alpha))
 
-    values = np.array([0.0, -2.0 * z * sp * sp, 2.0 * z * cp * cp])
-    vectors = np.array([
-        [-ea * sb, -ea * cb * cp, ea * cb * sp],
-        [cb, -sb * cp, sb * sp],
-        [0.0, sp, cp],
-    ], dtype=complex)
+    values = np.stack([np.zeros_like(z), -2.0 * z * sp * sp,
+                       2.0 * z * cp * cp], axis=-1)
+    vectors = np.stack([
+        np.stack([-ea * sb, -ea * cb * cp, ea * cb * sp], axis=-1),
+        np.stack([cb, -sb * cp, sb * sp], axis=-1),
+        np.stack([np.zeros_like(sp), sp, cp], axis=-1),
+    ], axis=-2)
+    if omega.ndim == 0:
+        omega, z, phi = float(omega), float(z), float(phi)
     return AdiabaticEigensystem(omega=omega, z=z, phi=phi,
                                 values=values, vectors=vectors)
 

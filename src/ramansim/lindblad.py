@@ -100,20 +100,16 @@ def density_from_state(psi):
 
 
 def adiabatic_populations(rho, drive, t):
-    """(P1, P2, P3) = populations of the instantaneous eigenstates at t."""
-    es = drive.eigensystem_at(t)
+    """(P1, P2, P3) = populations of the instantaneous eigenstates at t.
+
+    rho may be a stack (..., 3, 3) and t an array broadcasting against
+    the stack, giving an array (..., 3); one rho at a scalar t gives a
+    tuple of floats.
+    """
+    v = drive.eigensystem_at(t).vectors
     rho = np.asarray(rho, dtype=complex)
-    out = []
-    for k in range(3):
-        v = es.vectors[:, k]
-        out.append(float(np.vdot(v, rho @ v).real))
-    return tuple(out)
-
-
-def _drive_stages(drive, n_steps):
-    # envelope at the 2n+1 RK4 stage instants
-    u = np.linspace(-drive.envelope.u_b, drive.envelope.u_b, 2 * n_steps + 1)
-    return drive.envelope.value(u)
+    pops = np.einsum("...ak,...ab,...bk->...k", v.conj(), rho, v).real
+    return tuple(pops.tolist()) if pops.ndim == 1 else pops
 
 
 def _resolve_dt(drive, dt):
@@ -197,27 +193,30 @@ def _step_matrices(a0, a1, f, h):
     return np.eye(9) + _rk4_deltas(a[0:-1:2], am, am, a[2::2], h)
 
 
-def _propagate_batch(ops, drive, decay, dt, record_hook=None, record_stride=0):
+def _propagate_batch(ops, drive, decay, dt, record_stride=0):
     """March a batch of 3x3 operators through the master equation.
 
     ops has shape (m, 3, 3); all are advanced with one shared RK4 grid.
     Each operator is held in the 9 real coordinates of its Hermitian part
     (which symmetrises the input once), and each RK4 step is applied as
-    one precomputed 9x9 matrix, built _CHUNK steps at a time.
-    record_hook(t, batch) fires at t_i, every record_stride-th step and
-    at t_f.  Raises NumericalError when any operator's trace drifts.
+    one precomputed 9x9 matrix, built _CHUNK steps at a time.  Returns
+    the final (m, 3, 3) batch; with record_stride > 0 it returns
+    (batch, times, coords) with the coordinates (r, 9, m) at t_i, every
+    record_stride-th step and t_f.  Raises NumericalError when any
+    operator's trace drifts.
     """
     dt = _resolve_dt(drive, dt)
     span = drive.t_final - drive.t_initial
     n = max(1, int(math.ceil(span / dt - 1e-12)))
     h = span / n
-    f = _drive_stages(drive, n)
+    # envelope at the 2n+1 RK4 stage instants
+    f = drive.envelope.value(np.linspace(-drive.envelope.u_b,
+                                         drive.envelope.u_b, 2 * n + 1))
     a0, a1 = _generators(drive, decay)
 
     y = _to_coords(np.asarray(ops, dtype=complex))
     trace0 = y[:3].sum(axis=0)
-    if record_hook is not None:
-        record_hook(drive.t_initial, _from_coords(y))
+    steps_kept, kept = [np.zeros(1, dtype=int)], [y[None]]
     ys = np.empty((_CHUNK + 1,) + y.shape)
     for k0 in range(0, n, _CHUNK):
         c = min(_CHUNK, n - k0)
@@ -230,16 +229,18 @@ def _propagate_batch(ops, drive, decay, dt, record_hook=None, record_stride=0):
         if bad.size:
             raise NumericalError(
                 "trace drift %.3g exceeds %.1g" % (drift[bad[0]], TRACE_TOL))
-        if record_hook is not None:
-            for j in range(1, c + 1):
-                k = k0 + j
-                if k == n or (record_stride > 0 and k % record_stride == 0):
-                    # accumulated rounding must not push t past the
-                    # envelope domain
-                    t = drive.t_final if k == n else drive.t_initial + k * h
-                    record_hook(t, _from_coords(ys[j]))
+        if record_stride > 0:
+            k = np.arange(k0 + 1, k0 + c + 1)
+            keep = (k % record_stride == 0) | (k == n)
+            steps_kept.append(k[keep])
+            kept.append(ys[1:c + 1][keep])
         y = ys[c]
-    return _from_coords(y)
+    if record_stride == 0:
+        return _from_coords(y)
+    times = drive.t_initial + np.concatenate(steps_kept) * h
+    # accumulated rounding must not push t past the envelope domain
+    times[-1] = drive.t_final
+    return _from_coords(y), times, np.concatenate(kept)
 
 
 def propagate_master(rho0, drive, decay=None, dt=None, record_stride=0):
@@ -269,24 +270,17 @@ def propagate_master(rho0, drive, decay=None, dt=None, record_stride=0):
     if record_stride < 0 or int(record_stride) != record_stride:
         raise ConfigurationError("record_stride must be a non-negative integer")
 
-    records = []
-
-    def hook(t, batch):
-        rho = batch[0]
-        p1, p2, p3 = adiabatic_populations(rho, drive, t)
-        records.append(TraceRecord(
-            t=t,
-            pop0=float(rho[0, 0].real),
-            pop1=float(rho[1, 1].real),
-            pop_x=float(rho[2, 2].real),
-            purity=purity(rho),
-            p1=p1, p2=p2, p3=p3,
-        ))
-
-    out = _propagate_batch(rho0[None, :, :], drive, decay, dt,
-                           record_hook=hook if record_stride > 0 else None,
-                           record_stride=record_stride)
-    return out[0], records
+    if record_stride == 0:
+        return _propagate_batch(rho0[None], drive, decay, dt)[0], []
+    out, times, coords = _propagate_batch(rho0[None], drive, decay, dt,
+                                          record_stride=record_stride)
+    # the columns over all recorded states at once
+    y = coords[:, :, 0]
+    rhos = _from_coords(y.T)
+    purities = np.einsum("mij,mji->m", rhos, rhos).real
+    pops = adiabatic_populations(rhos, drive, times)
+    columns = np.column_stack([times, y[:, :3], purities, pops])
+    return out[0], [TraceRecord(*row) for row in columns.tolist()]
 
 
 # Hermitian qubit-sector basis operators; any initial qubit density matrix

@@ -49,16 +49,6 @@ class GateErrorResult:
     p_star: float
 
 
-def _check_resolution(chi, x_max, h, allow_coarse):
-    # chi and x_max may be arrays of paired points; the guard bounds the
-    # largest per-point phase advance
-    peak = float(np.max(chi * np.sqrt(1.0 + 4.0 * x_max * x_max))) * h
-    if peak > MAX_PHASE_STEP and not allow_coarse:
-        raise NumericalError(
-            "phase advance %.3f rad per step exceeds %.2f; "
-            "increase steps_per_unit or pass allow_coarse" % (peak, MAX_PHASE_STEP))
-
-
 def _stage_matrices(p, phase):
     # generator [[0, p e^{-iS}], [-p e^{+iS}, 0]] of (a2, a3) at one stage
     e = np.exp(-1j * phase)
@@ -92,7 +82,7 @@ def _chain_product(deltas):
     return deltas[0]
 
 
-def _integrate(chi, x_max, env, steps_per_unit, allow_coarse):
+def _integrate(chi, x_max, env, steps_per_unit):
     """RK4 over u in [-u_b, u_b] for paired (chi, x_max) points.
 
     S does not depend on the amplitudes, so its RK4 recurrence (Simpson's
@@ -114,7 +104,12 @@ def _integrate(chi, x_max, env, steps_per_unit, allow_coarse):
         env = PulseEnvelope()
     n = int(round(2.0 * env.u_b * steps_per_unit))
     h = 2.0 * env.u_b / n
-    _check_resolution(chi, x_max, h, allow_coarse)
+    # the largest phase advance per step over the points
+    peak = float(np.max(chi * np.sqrt(1.0 + 4.0 * x_max * x_max))) * h
+    if peak > MAX_PHASE_STEP:
+        raise NumericalError(
+            "phase advance %.3f rad per step exceeds %.2f; "
+            "increase steps_per_unit" % (peak, MAX_PHASE_STEP))
 
     # coupling p and phase rate dS/du on the half-step grid, one column
     # per point; S[k] is the phase at the start of step k
@@ -146,8 +141,7 @@ def _integrate(chi, x_max, env, steps_per_unit, allow_coarse):
     return y[:, 0, 0], y[:, 1, 0], S[n]
 
 
-def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=2000,
-                         allow_coarse=False):
+def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=2000):
     """Integrate the amplitude system over u in [-u_b, u_b].
 
     Fixed-step RK4 from a2 = 1, a3 = 0, sufficient by linearity.  The
@@ -162,27 +156,24 @@ def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=2000,
         Peak ratio from the calibration.
     env : PulseEnvelope, optional
     steps_per_unit : int
-        RK4 steps per unit of u (default 2000).
-    allow_coarse : bool
-        Override the resolution guard on the phase advance per step.
+        RK4 steps per unit of u (default 2000).  A step that advances S
+        by more than MAX_PHASE_STEP raises NumericalError.
 
     Returns
     -------
     AdiabaticAmplitudes
     """
-    (a2,), (a3,), (phase,) = _integrate(chi, x_max, env, steps_per_unit,
-                                        allow_coarse)
+    (a2,), (a3,), (phase,) = _integrate(chi, x_max, env, steps_per_unit)
     return AdiabaticAmplitudes(a2=complex(a2), a3=complex(a3),
                                phase=float(phase))
 
 
-def integrate_amplitudes_batch(chi, x_max, env=None, steps_per_unit=2000,
-                               allow_coarse=False):
+def integrate_amplitudes_batch(chi, x_max, env=None, steps_per_unit=2000):
     """integrate_amplitudes over arrays of (chi, x_max) pairs.
 
     Same grid and recurrence for every point; returns (a2, a3, S) arrays.
     """
-    return _integrate(chi, x_max, env, steps_per_unit, allow_coarse)
+    return _integrate(chi, x_max, env, steps_per_unit)
 
 
 def gate_error_pure(c, d):

@@ -382,8 +382,6 @@ def trace_run(drive, decay=None, rho0=None, dt=None, record_stride=10):
     """Full time series of one propagation; rho0 defaults to |0><0|."""
     if rho0 is None:
         rho0 = density_from_state(qubit_state(0.0, 0.0))
-    if decay is None:
-        decay = DecayConfig()
     if record_stride < 1:
         raise ConfigurationError("record_stride must be >= 1")
     _, records = propagate_master(rho0, drive, decay, dt=dt,

@@ -163,12 +163,20 @@ class TestExitCodes:
         ["gate", "--angle", "pi", "--chi", "15", "-o", "out.csv"],
         ["sweep-xmax", "--angle", "pi", "--chi", "20,21", "--alpha", "0.3"],
         ["sweep-xmax", "--angle", "pi", "--chi", "20,21", "--beta", "0.3"],
+        # each step flag is read by one path only
+        ["gate", "--angle", "pi", "--chi", "15", "--dt", "1ns"],
+        ["sweep-chi", "--angle", "pi", "--chi", "15", "--dt", "1ns"],
+        ["gate", "--angle", "pi", "--delta", "1meV", "--tau", "13.3ps",
+         "--gamma0", "5ns^-1", "--steps-per-unit", "2000"],
+        ["sweep-chi", "--angle", "pi", "--chi", "20", "--delta", "1meV",
+         "--gamma0", "5ns^-1", "--steps-per-unit", "2000", "-o",
+         "out.csv"],
     ])
     def test_unread_flags_rejected(self, argv, capsys, tmp_path,
                                    monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 2
-        capsys.readouterr()
+        assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("units, code", [("rounded", 0),
@@ -213,6 +221,22 @@ class TestExitCodes:
         rc = run(["gate", "--angle", "pi", "--delta", "1", "--tau", "10ps"])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["frame", "--angle", "pi", "--delta", "1", "--tau", "10ps"],
+         "argument --delta: missing unit suffix on energy '1'"),
+        (["frame", "--angle", "pi", "--delta", "1:4meV", "--tau", "10ps"],
+         "argument --delta: cannot parse '1:4meV'"),
+        (["sweep-gamma", "--angle", "pi", "--tau", "13.3ps", "--delta",
+          "1:4meV", "--gamma", "2ns^-1"],
+         "argument --delta: range must be start:stop:step: '1:4meV'"),
+        (["frame", "--angle", "xyz", "--chi", "15"],
+         "argument --angle: cannot parse angle 'xyz'"),
+    ])
+    def test_parser_message_shown(self, argv, message, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(": error: " + message)
 
     def test_underspecified_timing(self, capsys):
         rc = run(["gate", "--angle", "pi"])

@@ -144,6 +144,30 @@ class TestEigensystem:
         with pytest.raises(ConfigurationError):
             eigensystem(-1.0, 1.0, 1.0, 0.0)
 
+    def test_rejects_negative_array_entry(self):
+        with pytest.raises(ConfigurationError):
+            eigensystem(np.array([1.0, -1.0]), 1.0, 1.0, 0.0)
+
+    def test_scalar_call_returns_floats(self):
+        es = eigensystem(1.0, 2.0, 1.5, 0.4)
+        assert all(type(v) is float for v in (es.omega, es.z, es.phi))
+        assert es.values.shape == (3,)
+        assert es.vectors.shape == (3, 3)
+
+    @pytest.mark.parametrize("beta", [None, 0.3])
+    def test_array_call_matches_scalar_calls(self, rng, beta):
+        o1 = rng.uniform(0.0, 5.0, size=(4, 3))
+        o2 = rng.uniform(0.0, 5.0, size=3)
+        es = eigensystem(o1, o2, 2.5, 0.7, beta=beta)
+        assert es.omega.shape == es.z.shape == es.phi.shape == (4, 3)
+        assert es.values.shape == (4, 3, 3)
+        assert es.vectors.shape == (4, 3, 3, 3)
+        for i, j in np.ndindex(4, 3):
+            one = eigensystem(o1[i, j], o2[j], 2.5, 0.7, beta=beta)
+            for name in ("omega", "z", "phi", "values", "vectors"):
+                got = getattr(es, name)[i, j]
+                assert np.max(np.abs(got - getattr(one, name))) <= 1e-15
+
 
 class TestRotationAxis:
 
@@ -338,6 +362,16 @@ class TestDriveConfig:
         es = drive.eigensystem_at(drive.t_initial)
         # at zero instantaneous drive the stored beta still shapes Phi_1
         assert es.vectors[1, 0] == pytest.approx(math.cos(0.2), rel=1e-12)
+
+    def test_eigensystem_at_array_of_times(self):
+        # an array of times gives the stack of the single-time systems
+        drive = DriveConfig(detuning=1500.0, tau=0.01, x_max=0.4, beta=0.2)
+        ts = np.array([drive.t_initial, -0.004, 0.0, drive.t_final])
+        stack = drive.eigensystem_at(ts).vectors
+        assert stack.shape == (4, 3, 3)
+        for t, vectors in zip(ts, stack):
+            assert np.max(np.abs(vectors - drive.eigensystem_at(t).vectors)) \
+                <= 1e-15
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -104,6 +104,20 @@ class TestStateHelpers:
         assert p2 == pytest.approx(0.5, abs=1e-12)
         assert abs(p3) < 1e-12
 
+    def test_adiabatic_populations_stacked(self, worked_drive, rng):
+        # a stack of states at an array of times equals the scalar calls
+        psi = rng.normal(size=(2, 5, 3)) + 1j * rng.normal(size=(2, 5, 3))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        rhos = np.einsum("...a,...b->...ab", psi, psi.conj())
+        t = rng.uniform(worked_drive.t_initial, worked_drive.t_final,
+                        size=(2, 5))
+        pops = adiabatic_populations(rhos, worked_drive, t)
+        assert pops.shape == (2, 5, 3)
+        for idx in np.ndindex(2, 5):
+            one = adiabatic_populations(rhos[idx], worked_drive, t[idx])
+            assert all(isinstance(p, float) for p in one)
+            assert np.max(np.abs(pops[idx] - one)) <= 1e-15
+
 
 class TestFreeDecay:
 
@@ -197,6 +211,56 @@ class TestDecayRun:
     def test_purity_decreases(self, decay_run):
         _, records = decay_run
         assert records[-1].purity < records[0].purity
+
+
+# (t, pop0, pop1, pop_x, purity, p1, p2, p3) of the stride-25 decay_run at
+# t_i, nearest the pulse peak and at t_f, as recorded before the records
+# were computed over arrays
+FROZEN_DECAY_ROWS = (
+    (0, (-0.03, 1.0, 0.0, 0.0, 1.0, 0.4999999999999999, 0.5000000000000001,
+         0.0)),
+    (57, (-6.302521008403131e-05, 0.478480064739498, 0.4686605981843128,
+          0.05285933707619329, 0.9822714227363221, 0.5087618654166928,
+          0.4906371442700545, 0.000600990313256889)),
+    (115, (0.03, 0.017234525392159195, 0.9823322162010204,
+           0.00043325840682306016, 0.9659500625708548, 0.5178854721374284,
+           0.4816812694557511, 0.00043325840682306016)),
+)
+
+
+class TestRecordedMarch:
+
+    DECAY = DecayConfig(gamma0=20.0, gamma1=20.0)
+
+    def test_recording_leaves_final_state_unchanged(self, worked_drive,
+                                                    decay_run):
+        rho_f, _ = propagate_master(rho_ground(), worked_drive, self.DECAY)
+        assert np.array_equal(decay_run[0], rho_f)
+
+    @pytest.mark.parametrize("stride", [1, 7, 25, 2856, 5000])
+    def test_record_times(self, worked_drive, stride):
+        # the default step gives n = 2856 steps of h = span / n
+        span = worked_drive.t_final - worked_drive.t_initial
+        n = math.ceil(span * worked_drive.z_max / lindblad.DT_Z_LIMIT
+                      - 1e-12)
+        assert n == 2856
+        h = span / n
+        _, records = propagate_master(rho_ground(), worked_drive,
+                                      record_stride=stride)
+        assert len(records) == math.ceil(n / stride) + 1
+        times = [r.t for r in records]
+        assert times[:-1] == [worked_drive.t_initial + k * h
+                              for k in range(0, n, stride)]
+        assert times[-1] == worked_drive.t_final
+
+    def test_matches_frozen_rows(self, decay_run):
+        _, records = decay_run
+        assert len(records) == 116
+        for i, row in FROZEN_DECAY_ROWS:
+            r = records[i]
+            got = (r.t, r.pop0, r.pop1, r.pop_x, r.purity, r.p1, r.p2, r.p3)
+            assert all(isinstance(v, float) for v in got)
+            assert np.max(np.abs(np.subtract(got, row))) <= 1e-14
 
 
 def master_oracle(rho0, drive, decay):
