@@ -83,22 +83,29 @@ parse_rate = _unit_parser("rate", {"ns^-1": 1.0})  # decay rate in ns^-1
 
 
 def make_list_parser(scalar):
-    """Comma list or start:stop:step range, shared trailing unit suffix."""
+    """Comma list or start:stop:step range of scalar values.
+
+    A unit suffix after the last element applies to every element written
+    without one; an element with its own unit keeps it.
+    """
     def parse(text):
         t = text.strip()
         m = _UNIT_SUFFIX.search(t)
         suffix = m.group(1) if m else ""
-        body = t[:m.start()] if m else t
-        if ":" in body:
-            parts = body.split(":")
+
+        def value(part):
+            part = part.strip()
+            return scalar(part if _UNIT_SUFFIX.search(part) else part + suffix)
+        if ":" in t:
+            parts = t.split(":")
             if len(parts) != 3:
                 raise ConfigurationError("range must be start:stop:step: %r" % text)
-            start, stop, step = (scalar(p + suffix) for p in parts)
+            start, stop, step = (value(p) for p in parts)
             if step <= 0.0 or stop < start:
                 raise ConfigurationError("bad range %r" % text)
             n = int(math.floor((stop - start) / step + 1e-9)) + 1
             return [start + i * step for i in range(n)]
-        return [scalar(p + suffix) for p in body.split(",")]
+        return [value(p) for p in t.split(",")]
     return parse
 
 

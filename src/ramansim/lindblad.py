@@ -25,7 +25,8 @@ from .lambda_frame import RotationSpec, hamiltonian
 
 DT_Z_LIMIT = 0.02  # max phase advance Z*dt per RK4 step
 TRACE_TOL = 1e-8
-_CHUNK = 256  # RK4 step matrices built per batched matmul
+_CHUNK = 256  # RK4 step matrices built per matrix product
+_BLOCK = math.isqrt(_CHUNK)  # steps per block, and blocks per chunk
 
 
 @dataclass(frozen=True)
@@ -186,11 +187,55 @@ def _rk4_deltas(k1, a2, a3, a4, h, mul=np.matmul):
     return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _step_matrices(a0, a1, f, h):
-    # the generator a0 + f a1 at the 2c+1 envelope values of a chunk's stages
-    a = a0 + f[:, None, None] * a1
-    am = a[1::2]
-    return np.eye(9) + _rk4_deltas(a[0:-1:2], am, am, a[2::2], h)
+def _compose(a, b, mul=np.matmul):
+    # (I + a)(I + b) - I.  Steps and their products are held as their
+    # deviation from I because rounding them on the grid at 1 loses the low
+    # digits of D: it drains |a2|^2 + |a3|^2 by about 1e-13 over 12 000
+    # amplitude steps, and puts the 1 meV master-equation states 6e-15 from
+    # an extended-precision march against 8e-16 in the deviation form
+    return a + b + mul(a, b)
+
+
+def _chain_product(deltas, mul=np.matmul):
+    # (I + d[c-1]) ... (I + d[0]) - I by pairwise reduction along axis 0,
+    # later steps on the left
+    while len(deltas) > 1:
+        if len(deltas) % 2:
+            deltas = np.concatenate(
+                (deltas[:-2], _compose(deltas[-1:], deltas[-2:-1], mul)))
+        deltas = _compose(deltas[1::2], deltas[0::2], mul)
+    return deltas[0]
+
+
+# values of a polynomial of degree (1, 2, 1) on the nodes
+# {0, 1} x {-1, 0, 1} x {0, 1} -> its coefficients: the Kronecker product
+# of the three inverse Vandermonde matrices, with weights exact in binary
+_FROM_NODES = np.kron(np.kron([[1.0, 0.0], [-1.0, 1.0]],
+                              [[0.0, 1.0, 0.0], [-0.5, 0.0, 0.5],
+                               [0.5, -1.0, 0.5]]),
+                      [[1.0, 0.0], [-1.0, 1.0]])
+
+
+def _step_polynomial(a0, a1, h):
+    """(12, 81) coefficients of one RK4 step's D = M - I for A = a0 + f a1.
+
+    D has degree (1, 2, 1) in the envelope values (f0, fm, f1) at the
+    step's start, middle and end, so its values on the node grid fix it;
+    row 6i + 2j + k is the coefficient of f0^i fm^j f1^k (_monomials).
+    """
+    g0, gm, g1 = (g.reshape(12, 1, 1) for g in np.meshgrid(
+        [0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0], indexing="ij"))
+    am = a0 + gm * a1
+    d = _rk4_deltas(a0 + g0 * a1, am, am, a0 + g1 * a1, h)
+    return _FROM_NODES @ d.reshape(12, 81)
+
+
+def _monomials(f0, fm, f1):
+    # (12, c) rows f0^i fm^j f1^k in the row order of _step_polynomial
+    one = np.ones_like(f0)
+    return (np.array((one, f0))[:, None, None]
+            * np.array((one, fm, fm * fm))[:, None]
+            * np.array((one, f1))).reshape(12, -1)
 
 
 def _propagate_batch(ops, drive, decay, dt, record_stride=0):
@@ -198,8 +243,12 @@ def _propagate_batch(ops, drive, decay, dt, record_stride=0):
 
     ops has shape (m, 3, 3); all are advanced with one shared RK4 grid.
     Each operator is held in the 9 real coordinates of its Hermitian part
-    (which symmetrises the input once), and each RK4 step is applied as
-    one precomputed 9x9 matrix, built _CHUNK steps at a time.  Returns
+    (which symmetrises the input once).  Each RK4 step is one 9x9 matrix
+    I + D, held as D: the D of a _CHUNK-step chunk come from one product
+    of the chunk's envelope monomials with _step_polynomial.  The chunk is
+    cut into _BLOCK blocks of _BLOCK steps; the state is carried across
+    the block starts by each block's pairwise product, and then all
+    blocks advance together, one y + D y per step.  Returns
     the final (m, 3, 3) batch; with record_stride > 0 it returns
     (batch, times, coords) with the coordinates (r, 9, m) at t_i, every
     record_stride-th step and t_f.  Raises NumericalError when any
@@ -212,35 +261,53 @@ def _propagate_batch(ops, drive, decay, dt, record_stride=0):
     # envelope at the 2n+1 RK4 stage instants
     f = drive.envelope.value(np.linspace(-drive.envelope.u_b,
                                          drive.envelope.u_b, 2 * n + 1))
-    a0, a1 = _generators(drive, decay)
+    coeffs = _step_polynomial(*_generators(drive, decay), h)
 
     y = _to_coords(np.asarray(ops, dtype=complex))
     trace0 = y[:3].sum(axis=0)
     steps_kept, kept = [np.zeros(1, dtype=int)], [y[None]]
-    ys = np.empty((_CHUNK + 1,) + y.shape)
+    deltas = np.zeros((_CHUNK, 81))
+    # ys[j, b] is the state after j steps of block b; ys[0, b] its start
+    ys = np.empty((_BLOCK + 1, _BLOCK) + y.shape)
+    ys[0, 0] = y
     for k0 in range(0, n, _CHUNK):
         c = min(_CHUNK, n - k0)
-        steps = _step_matrices(a0, a1, f[2 * k0:2 * (k0 + c) + 1], h)
-        ys[0] = y
-        for j in range(c):
-            steps[j].dot(ys[j], out=ys[j + 1])
-        drift = np.max(np.abs(ys[1:c + 1, :3].sum(axis=1) - trace0), axis=1)
-        bad = np.flatnonzero(~(drift <= TRACE_TOL))  # NaN counts as drift
-        if bad.size:
+        nb = -(-c // _BLOCK)
+        fc = f[2 * k0:2 * (k0 + c) + 1]
+        np.matmul(_monomials(fc[0:-1:2], fc[1::2], fc[2::2]).T, coeffs,
+                  out=deltas[:c])
+        # a short last chunk is padded with D = 0, which steps exactly as I
+        deltas[c:nb * _BLOCK] = 0.0
+        d = deltas[:nb * _BLOCK].reshape(nb, _BLOCK, 9, 9)
+        blocks = _chain_product(d.transpose(1, 0, 2, 3))
+        for b in range(nb - 1):
+            blocks[b].dot(ys[0, b], out=ys[0, b + 1])
+            ys[0, b + 1] += ys[0, b]
+        for j in range(_BLOCK):
+            np.matmul(d[:, j], ys[j, :nb], out=ys[j + 1, :nb])
+            ys[j + 1, :nb] += ys[j, :nb]
+        # the states after each step, as (step in block, block, 9, m)
+        states = ys[1:, :nb]
+        drift = np.abs(states[:, :, 0] + states[:, :, 1] + states[:, :, 2]
+                       - trace0)
+        if not np.all(drift <= TRACE_TOL):  # NaN counts as drift
+            drift = drift.max(axis=2).T.ravel()
+            first = np.flatnonzero(~(drift <= TRACE_TOL))[0]
             raise NumericalError(
-                "trace drift %.3g exceeds %.1g" % (drift[bad[0]], TRACE_TOL))
+                "trace drift %.3g exceeds %.1g at step %d of %d"
+                % (drift[first], TRACE_TOL, k0 + first + 1, n))
         if record_stride > 0:
             k = np.arange(k0 + 1, k0 + c + 1)
             keep = (k % record_stride == 0) | (k == n)
             steps_kept.append(k[keep])
-            kept.append(ys[1:c + 1][keep])
-        y = ys[c]
+            kept.append(states.swapaxes(0, 1).reshape(-1, *y.shape)[:c][keep])
+        ys[0, 0] = ys[_BLOCK, nb - 1]
     if record_stride == 0:
-        return _from_coords(y)
+        return _from_coords(ys[0, 0])
     times = drive.t_initial + np.concatenate(steps_kept) * h
     # accumulated rounding must not push t past the envelope domain
     times[-1] = drive.t_final
-    return _from_coords(y), times, np.concatenate(kept)
+    return _from_coords(ys[0, 0]), times, np.concatenate(kept)
 
 
 def propagate_master(rho0, drive, decay=None, dt=None, record_stride=0):

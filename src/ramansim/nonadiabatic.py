@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .lambda_frame import PulseEnvelope, solve_xmax
-from .lindblad import _CHUNK, _rk4_deltas
+from .lindblad import _CHUNK, _chain_product, _rk4_deltas
 
 MAX_PHASE_STEP = 0.1  # rad of S advance per RK4 step
 
@@ -62,24 +62,6 @@ def _matmul2(a, b):
     # a @ b for stacks of 2x2 matrices, written out: np.matmul spends about
     # 0.4 us on each matrix this small
     return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
-
-
-def _compose(a, b):
-    # (I + a)(I + b) - I.  Products of near-identity steps are held as their
-    # deviation from I because rounding them on the grid at 1 errs with one
-    # sign and drains |a2|^2 + |a3|^2 by about 1e-13 over 12 000 steps
-    return a + b + _matmul2(a, b)
-
-
-def _chain_product(deltas):
-    # (I + d[c-1]) ... (I + d[0]) - I by pairwise reduction along axis 0,
-    # later steps on the left
-    while len(deltas) > 1:
-        if len(deltas) % 2:
-            deltas[-2] = _compose(deltas[-1], deltas[-2])
-            deltas = deltas[:-1]
-        deltas = _compose(deltas[1::2], deltas[0::2])
-    return deltas[0]
 
 
 def _integrate(chi, x_max, env, steps_per_unit):
@@ -137,7 +119,7 @@ def _integrate(chi, x_max, env, steps_per_unit):
                              _stage_matrices(pm, s0 + h2 * sm),
                              _stage_matrices(pc[2::2], s0 + h * sm),
                              h, _matmul2)
-        y = y + _matmul2(_chain_product(deltas), y)
+        y = y + _matmul2(_chain_product(deltas, _matmul2), y)
     return y[:, 0, 0], y[:, 1, 0], S[n]
 
 

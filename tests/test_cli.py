@@ -72,6 +72,16 @@ class TestParsers:
         rate_list = make_list_parser(parse_rate)
         assert rate_list("2,6,10ns^-1") == [2.0, 6.0, 10.0]
 
+    def test_list_units_per_element(self):
+        energy_list = make_list_parser(make_energy_parser(ROUNDED))
+        assert energy_list("1meV,2meV") == energy_list("1,2meV") == [
+            1500.0, 3000.0]
+        assert energy_list("1meV,2ns^-1") == [1500.0, 2.0]
+        assert energy_list("1meV:2:1meV") == energy_list("1:2:1meV")
+        assert make_list_parser(parse_rate)("2ns^-1,4ns^-1") == [2.0, 4.0]
+        with pytest.raises(ConfigurationError, match="missing unit suffix"):
+            energy_list("1meV,2")
+
     def test_list_plain_floats(self):
         float_list = make_list_parser(float)
         assert float_list("2:4:0.5") == [2.0, 2.5, 3.0, 3.5, 4.0]
@@ -232,6 +242,9 @@ class TestExitCodes:
          "argument --delta: range must be start:stop:step: '1:4meV'"),
         (["frame", "--angle", "xyz", "--chi", "15"],
          "argument --angle: cannot parse angle 'xyz'"),
+        (["sweep-gamma", "--angle", "pi", "--tau", "13.3ps", "--delta",
+          "1meV,2", "--gamma", "2ns^-1"],
+         "argument --delta: missing unit suffix on energy '2'"),
     ])
     def test_parser_message_shown(self, argv, message, capsys):
         assert run(argv) == 2

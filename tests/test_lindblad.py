@@ -318,6 +318,89 @@ class TestStepMatrixMarch:
         with pytest.raises(NumericalError, match="trace drift"):
             propagate_master(rho_ground(), worked_drive, decay)
 
+    def test_trace_drift_names_first_step(self, monkeypatch, worked_drive):
+        # the drift of every state from a recorded march picks the step
+        # that a tighter tolerance must report
+        decay = DecayConfig(gamma0=20.0, gamma1=20.0)
+        _, _, coords = lindblad._propagate_batch(
+            rho_ground()[None], worked_drive, decay, None, record_stride=1)
+        drift = np.abs(coords[:, :3, 0].sum(axis=1) - 1.0)
+        tol = 4e-16
+        first = np.flatnonzero(drift > tol)[0]
+        monkeypatch.setattr(lindblad, "TRACE_TOL", tol)
+        with pytest.raises(NumericalError,
+                           match="at step %d of 2856$" % first):
+            propagate_master(rho_ground(), worked_drive, decay)
+
+    def test_nan_counts_as_drift(self, worked_drive):
+        with pytest.raises(NumericalError,
+                           match="trace drift nan .* at step 1 of"):
+            lindblad._propagate_batch(np.full((1, 3, 3), np.nan),
+                                      worked_drive, DecayConfig(), None)
+
+
+def rk4_grid(drive):
+    # the march's default grid: n steps of h and the envelope at the 2n+1
+    # stage instants
+    span = drive.t_final - drive.t_initial
+    n = math.ceil(span / lindblad._resolve_dt(drive, None) - 1e-12)
+    u_b = drive.envelope.u_b
+    return n, span / n, drive.envelope.value(np.linspace(-u_b, u_b,
+                                                          2 * n + 1))
+
+
+def longdouble_march(y0, drive, decay):
+    # the RK4 recurrence stage by stage on the state, in np.longdouble, from
+    # the march's own A0, A1, f and h; returns every state
+    n, h, f = rk4_grid(drive)
+    a0, a1 = (a.astype(np.longdouble) for a in
+              lindblad._generators(drive, decay))
+    a = a0 + f.astype(np.longdouble)[:, None, None] * a1
+    h = np.longdouble(h)
+    y = y0.astype(np.longdouble)
+    out = [y]
+    for k in range(n):
+        k1 = a[2 * k] @ y
+        k2 = a[2 * k + 1] @ (y + 0.5 * h * k1)
+        k3 = a[2 * k + 1] @ (y + 0.5 * h * k2)
+        k4 = a[2 * k + 2] @ (y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * (k2 + k3) + k4)
+        out.append(y)
+    return np.array(out)
+
+
+class TestBlockedMarch:
+
+    DECAY = DecayConfig(gamma0=20.0, gamma1=20.0)
+
+    def test_polynomial_rebuilds_rk4_deltas(self, worked_drive, rng):
+        a0, a1 = lindblad._generators(worked_drive, self.DECAY)
+        _, h, _ = rk4_grid(worked_drive)
+        coeffs = lindblad._step_polynomial(a0, a1, h)
+        f0, fm, f1 = rng.random((3, 500))
+        want = lindblad._rk4_deltas(
+            *(a0 + f[:, None, None] * a1 for f in (f0, fm, fm, f1)), h)
+        got = lindblad._monomials(f0, fm, f1).T @ coeffs
+        assert np.max(np.abs(want)) > 0.01
+        assert np.max(np.abs(got - want.reshape(500, 81))) <= 1e-16
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18,
+        reason="np.longdouble is no wider than float64 on this platform, "
+               "so there is no extended type to march in")
+    def test_matches_extended_precision_march(self, worked_drive):
+        n, _, _ = rk4_grid(worked_drive)
+        # the last chunk ends inside a block
+        assert n % lindblad._CHUNK % lindblad._BLOCK != 0
+        rho0 = rho_ground()[None]
+        _, _, coords = lindblad._propagate_batch(rho0, worked_drive,
+                                                 self.DECAY, None,
+                                                 record_stride=1)
+        want = longdouble_march(lindblad._to_coords(rho0), worked_drive,
+                                self.DECAY)
+        assert coords.shape == want.shape == (n + 1, 9, 1)
+        assert np.max(np.abs(coords - want)) <= 2e-15
+
 
 class TestGateErrorMixed:
 
