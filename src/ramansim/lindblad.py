@@ -24,6 +24,9 @@ from .errors import ConfigurationError, NumericalError
 from .lambda_frame import RotationSpec, hamiltonian
 
 DT_Z_LIMIT = 0.02  # max phase advance Z*dt per RK4 step
+# the same for the unrecorded worst-case march (_error_quadratic), whose
+# error E is second order in the coherent step error of its final states
+WORST_CASE_DT_Z_LIMIT = 2.0 * DT_Z_LIMIT
 TRACE_TOL = 1e-8
 _CHUNK = 256  # RK4 step matrices built per matrix product
 _BLOCK = math.isqrt(_CHUNK)  # steps per block, and blocks per chunk
@@ -113,15 +116,25 @@ def adiabatic_populations(rho, drive, t):
     return tuple(pops.tolist()) if pops.ndim == 1 else pops
 
 
-def _resolve_dt(drive, dt):
+def _resolve_dt(drive, dt, z_limit=DT_Z_LIMIT):
+    """The RK4 step: z_limit / Z_max by default, and never coarser.
+
+    Two limits are in use.  Recorded marches and propagate_master step at
+    Z*dt = 0.02 (DT_Z_LIMIT): the 4th-order state error at twice that
+    step puts the 1 meV pi state 1.9e-9 from a DOP853 solve, against
+    1.2e-10 at 0.02.  The worst-case march of gate_error_mixed steps at
+    0.04 (WORST_CASE_DT_Z_LIMIT): its error E is second order in that
+    coherent step error, and moved by at most 1.9e-13 against Z*dt =
+    0.005 over pi/2, pi and 2pi at 1-8 meV, gamma 2 and 10 ns^-1.
+    """
     if dt is None:
-        return DT_Z_LIMIT / drive.z_max
+        return z_limit / drive.z_max
     if not dt > 0.0:
         raise ConfigurationError("dt must be positive")
-    if dt * drive.z_max > DT_Z_LIMIT * (1.0 + 1e-9):
+    if dt * drive.z_max > z_limit * (1.0 + 1e-9):
         raise NumericalError(
             "dt too large: dt*Z_max = %.4g exceeds %.3g"
-            % (dt * drive.z_max, DT_Z_LIMIT))
+            % (dt * drive.z_max, z_limit))
     return dt
 
 
@@ -238,7 +251,8 @@ def _monomials(f0, fm, f1):
             * np.array((one, f1))).reshape(12, -1)
 
 
-def _propagate_batch(ops, drive, decay, dt, record_stride=0):
+def _propagate_batch(ops, drive, decay, dt, record_stride=0,
+                     z_limit=DT_Z_LIMIT):
     """March a batch of 3x3 operators through the master equation.
 
     ops has shape (m, 3, 3); all are advanced with one shared RK4 grid.
@@ -252,9 +266,9 @@ def _propagate_batch(ops, drive, decay, dt, record_stride=0):
     the final (m, 3, 3) batch; with record_stride > 0 it returns
     (batch, times, coords) with the coordinates (r, 9, m) at t_i, every
     record_stride-th step and t_f.  Raises NumericalError when any
-    operator's trace drifts.
+    operator's trace drifts.  dt and z_limit go to _resolve_dt.
     """
-    dt = _resolve_dt(drive, dt)
+    dt = _resolve_dt(drive, dt, z_limit)
     span = drive.t_final - drive.t_initial
     n = max(1, int(math.ceil(span / dt - 1e-12)))
     h = span / n
@@ -375,7 +389,8 @@ def _error_quadratic(drive, decay, dt, target):
     propagated in one batch.
     """
     basis = np.stack([_P00, _P11, _X01, _Y01])
-    v00, v11, vx, vy = _propagate_batch(basis, drive, decay, dt)[:, :2, :2]
+    v00, v11, vx, vy = _propagate_batch(
+        basis, drive, decay, dt, z_limit=WORST_CASE_DT_Z_LIMIT)[:, :2, :2]
     images = np.stack([v00 + v11, 2.0 * vx, 2.0 * vy, v00 - v11])
     umat = target.unitary()
     ideal = umat @ _PAULI @ umat.conj().T
@@ -447,7 +462,10 @@ def gate_error_mixed(drive, decay, target=None, dt=None):
     initial Bloch vector, and its maximum over the sphere is found in
     closed form (_maximize_on_sphere).
 
-    target defaults to the rotation the drive is calibrated for.
+    target defaults to the rotation the drive is calibrated for.  dt is
+    the RK4 step [ns]; it defaults to 0.04 / Z_max and must not exceed it,
+    twice the 0.02 / Z_max of propagate_master and recorded marches
+    (_resolve_dt gives the measured reasons).
     """
     if target is None:
         target = drive.rotation()

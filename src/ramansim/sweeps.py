@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .lambda_frame import DriveConfig, PulseEnvelope, RotationSpec, solve_xmax
-from .lindblad import (DecayConfig, density_from_state, gate_error_mixed,
-                       propagate_master, qubit_state)
+from .lindblad import (WORST_CASE_DT_Z_LIMIT, DecayConfig, density_from_state,
+                       gate_error_mixed, propagate_master, qubit_state)
 from .nonadiabatic import gate_error_pure, integrate_amplitudes_batch
 
 CHI_REGIME_MIN = 20.0
@@ -113,6 +113,13 @@ def _float_list(values):
     return ",".join(repr(float(v)) for v in values)
 
 
+def _dt_rule(dt):
+    # the master-equation step of a decay table's gate_error_mixed calls
+    if dt is None:
+        return "%r/z_max" % WORST_CASE_DT_Z_LIMIT
+    return repr(float(dt))
+
+
 def sweep_xmax_vs_chi(angle, chi_values, env=None):
     """Calibrated peak ratio x_max for each chi at a fixed angle."""
     if env is None:
@@ -186,7 +193,7 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
         "prefactor": repr(decay.prefactor),
         "alpha_rad": repr(float(alpha)),
         "beta_rad": repr(float(beta)),
-        "dt_rule": "0.02/z_max" if dt is None else repr(float(dt)),
+        "dt_rule": _dt_rule(dt),
         "final_time": "light-off",
     })
 
@@ -258,7 +265,7 @@ def _decay_grid_metadata(table, angle, tau, detunings, gammas, prefactor,
         "prefactor": repr(float(prefactor)),
         "alpha_rad": repr(float(alpha)),
         "beta_rad": repr(float(beta)),
-        "dt_rule": "0.02/z_max" if dt is None else repr(float(dt)),
+        "dt_rule": _dt_rule(dt),
         "final_time": "light-off",
     }
 

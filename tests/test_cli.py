@@ -157,6 +157,21 @@ class TestExitCodes:
         n = [float(kv["worst_n_" + k]) for k in "xyz"]
         assert math.hypot(*n) == pytest.approx(1.0, abs=1e-11)
 
+    @pytest.mark.parametrize("dt_z", [None, 0.02], ids=["default", "half"])
+    def test_gate_prints_rounding_zero_components_as_zero(self, dt_z,
+                                                          capsys):
+        # n_y and n_z are zero up to rounding here, at the default step
+        # (Z dt = 0.04) and at half of it
+        argv = ["gate", "--angle", "pi", "--delta", "1meV", "--tau",
+                "13.3ps", "--gamma0", "2ns^-1", "--gamma1", "2ns^-1"]
+        if dt_z is not None:
+            drive = DriveConfig.for_rotation(math.pi, 1500.0, 0.0133)
+            argv += ["--dt", "%.17gns" % (dt_z / drive.z_max)]
+        assert run(argv) == 0
+        kv = kv_from_stdout(capsys.readouterr().out)
+        assert kv["worst_n_y"] == kv["worst_n_z"] == "0"
+        assert abs(float(kv["worst_n_x"])) == pytest.approx(1.0, abs=1e-11)
+
     def test_gate_pure_rejects_zero_angle(self, capsys):
         assert run(["gate", "--angle", "0", "--chi", "21"]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -260,6 +275,14 @@ class TestExitCodes:
         rc = run(["gate", "--angle", "pi", "--chi", "500"])
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_gate_dt_above_limit(self, capsys):
+        drive = DriveConfig.for_rotation(math.pi, 1500.0, 0.0133)
+        rc = run(["gate", "--angle", "pi", "--delta", "1meV", "--tau",
+                  "13.3ps", "--gamma0", "2ns^-1", "--dt",
+                  "%.17gns" % (0.05 / drive.z_max)])
+        assert rc == 3
+        assert "exceeds 0.04" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, code", [
         ("frame --angle nan --chi 20", 2),

@@ -495,18 +495,19 @@ def assert_global_max(c, b, a, value, n):
     assert np.linalg.eigvalsh(a)[0] - mu > -1e-12
 
 
+@pytest.fixture(scope="module")
+def generic():
+    # unequal rates, doubled prefactor and a tilted axis
+    drive = DriveConfig.for_rotation(0.7 * math.pi, 2.0 * DETUNING,
+                                     0.0133, alpha=0.9, beta=0.4)
+    decay = DecayConfig(gamma0=3.0, gamma1=11.0, prefactor=1.0)
+    target = RotationSpec.from_angles(0.7 * math.pi, 0.9, 0.4)
+    table = lindblad._error_quadratic(drive, decay, None, target)
+    return drive, decay, target, table
+
+
 class TestExactWorstCase:
     """The closed-form maximum of 1 - F over the Bloch sphere."""
-
-    @pytest.fixture(scope="class")
-    def generic(self):
-        # unequal rates, doubled prefactor and a tilted axis
-        drive = DriveConfig.for_rotation(0.7 * math.pi, 2.0 * DETUNING,
-                                         0.0133, alpha=0.9, beta=0.4)
-        decay = DecayConfig(gamma0=3.0, gamma1=11.0, prefactor=1.0)
-        target = RotationSpec.from_angles(0.7 * math.pi, 0.9, 0.4)
-        table = lindblad._error_quadratic(drive, decay, None, target)
-        return drive, decay, target, table
 
     @pytest.mark.parametrize("detuning", sorted(FROZEN_SEARCH))
     def test_matches_frozen_search(self, detuning):
@@ -536,6 +537,34 @@ class TestExactWorstCase:
         assert np.max(scan) <= error + 1e-15
         assert np.max(scan) > error - 1e-3 * error
         assert_global_max(c, b, a, error, n)
+
+
+class TestWorstCaseStep:
+    """The worst-case march's default step Z*dt = 0.04 and its guard."""
+
+    @pytest.mark.parametrize("gamma", [2.0, 10.0])
+    @pytest.mark.parametrize("detuning", [DETUNING, 2.0 * DETUNING])
+    @pytest.mark.parametrize("angle", [0.5 * math.pi, math.pi,
+                                       2.0 * math.pi])
+    def test_converged_against_eighth_step(self, angle, detuning, gamma):
+        drive = DriveConfig.for_rotation(angle, detuning, 0.0133)
+        decay = DecayConfig(gamma0=0.5 * gamma, gamma1=0.5 * gamma)
+        fine = gate_error_mixed(drive, decay, dt=0.005 / drive.z_max)
+        assert abs(gate_error_mixed(drive, decay) - fine) <= 1e-12
+
+    def test_generic_converged_against_eighth_step(self, generic):
+        drive, decay, target, _ = generic
+        fine = gate_error_mixed(drive, decay, target, dt=0.005 / drive.z_max)
+        assert abs(gate_error_mixed(drive, decay, target) - fine) <= 1e-12
+
+    def test_default_is_the_limit(self, worked_drive):
+        decay = DecayConfig(gamma0=5.0, gamma1=5.0)
+        z_max = worked_drive.z_max
+        assert lindblad.WORST_CASE_DT_Z_LIMIT == 0.04
+        assert (gate_error_mixed(worked_drive, decay, dt=0.04 / z_max)
+                == gate_error_mixed(worked_drive, decay))
+        with pytest.raises(NumericalError, match="exceeds 0.04"):
+            gate_error_mixed(worked_drive, decay, dt=0.05 / z_max)
 
 
 class TestMaximizeOnSphere:
@@ -617,6 +646,12 @@ class TestPropagateValidation:
     def test_rejects_coarse_dt(self, worked_drive):
         dt = 1.0 / worked_drive.z_max
         with pytest.raises(NumericalError):
+            propagate_master(rho_ground(), worked_drive, dt=dt)
+
+    def test_keeps_its_finer_limit(self, worked_drive):
+        # admitted by the worst-case march, not by propagate_master
+        dt = 0.03 / worked_drive.z_max
+        with pytest.raises(NumericalError, match="exceeds 0.02"):
             propagate_master(rho_ground(), worked_drive, dt=dt)
 
     def test_rejects_nonpositive_dt(self, worked_drive):

@@ -284,3 +284,11 @@ class TestMetadata:
                     "dt_rule", "final_time"):
             assert key in table.metadata
         assert table.metadata["table"] == "error-vs-gamma"
+
+    def test_dt_rule_states_worst_case_step(self):
+        # both decay-table paths name the step their worst-case marches take
+        table, _ = sweep_error_vs_gamma([3000.0], [0.0], math.pi, 0.0133)
+        assert table.metadata["dt_rule"] == "0.04/z_max"
+        table = sweep_error_vs_chi(math.pi, [20.0], DecayConfig(gamma0=2.0),
+                                   detuning=3000.0)
+        assert table.metadata["dt_rule"] == "0.04/z_max"
