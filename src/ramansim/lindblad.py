@@ -189,34 +189,33 @@ def _generators(drive, decay):
     return _to_coords(out0), _to_coords(out1)
 
 
-def _rk4_deltas(k1, a2, a3, a4, h, mul=np.matmul):
+def _rk4_deltas(k1, a2, a3, a4, h):
     # RK4 on a linear system y' = A(t) y collapses to one matrix I + D per
     # step; returns D from stacks k1, a2, a3, a4 of A at each step's four
-    # stages, with mul multiplying two such stacks
+    # stages
     eye = np.eye(k1.shape[-1])
-    k2 = mul(a2, eye + 0.5 * h * k1)
-    k3 = mul(a3, eye + 0.5 * h * k2)
-    k4 = mul(a4, eye + h * k3)
+    k2 = np.matmul(a2, eye + 0.5 * h * k1)
+    k3 = np.matmul(a3, eye + 0.5 * h * k2)
+    k4 = np.matmul(a4, eye + h * k3)
     return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _compose(a, b, mul=np.matmul):
+def _compose(a, b):
     # (I + a)(I + b) - I.  Steps and their products are held as their
     # deviation from I because rounding them on the grid at 1 loses the low
-    # digits of D: it drains |a2|^2 + |a3|^2 by about 1e-13 over 12 000
-    # amplitude steps, and puts the 1 meV master-equation states 6e-15 from
-    # an extended-precision march against 8e-16 in the deviation form
-    return a + b + mul(a, b)
+    # digits of D: it puts the 1 meV master-equation states 6e-15 from an
+    # extended-precision march against 8e-16 in the deviation form
+    return a + b + np.matmul(a, b)
 
 
-def _chain_product(deltas, mul=np.matmul):
+def _chain_product(deltas):
     # (I + d[c-1]) ... (I + d[0]) - I by pairwise reduction along axis 0,
     # later steps on the left
     while len(deltas) > 1:
         if len(deltas) % 2:
             deltas = np.concatenate(
-                (deltas[:-2], _compose(deltas[-1:], deltas[-2:-1], mul)))
-        deltas = _compose(deltas[1::2], deltas[0::2], mul)
+                (deltas[:-2], _compose(deltas[-1:], deltas[-2:-1])))
+        deltas = _compose(deltas[1::2], deltas[0::2])
     return deltas[0]
 
 

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .lambda_frame import PulseEnvelope, solve_xmax
-from .lindblad import _CHUNK, _chain_product, _rk4_deltas
 
 MAX_PHASE_STEP = 0.1  # rad of S advance per RK4 step
+_CHUNK = 2048  # RK4 steps built and multiplied at a time
 
 
 @dataclass(frozen=True)
@@ -49,29 +49,65 @@ class GateErrorResult:
     p_star: float
 
 
-def _stage_matrices(p, phase):
-    # generator [[0, p e^{-iS}], [-p e^{+iS}, 0]] of (a2, a3) at one stage
-    e = np.exp(-1j * phase)
-    a = np.zeros(p.shape + (2, 2), dtype=complex)
-    a[..., 0, 1] = p * e
-    a[..., 1, 0] = -p * np.conj(e)
-    return a
+def _rk4_deviation(z1, z2, z3, z4, h):
+    """D = M - I of one RK4 step on (a2, a3), as the quaternion (a, b).
+
+    The generator at each stage is [[0, z], [-z*, 0]], so every stage
+    product, step and deviation has the form [[a, b], [-b*, a*]] and is
+    held as its first row (a, b) (Hairer, Lubich & Wanner, Geometric
+    Numerical Integration, ch. IV).  k1 = (0, z1) and
+    k_{i+1} = (0, z_{i+1})(I + c_i h k_i) in closed form.
+
+    Every complex product keeps its temporary operand on the left.  For
+    large temporaries numpy evaluates x * tmp in place as tmp *= x, and
+    with fused multiply-adds the two operand orders round differently,
+    so a batch would no longer equal its points run one at a time.
+    """
+    h2 = 0.5 * h
+    k2a = np.conj(-h2 * z1) * z2
+    k3a = np.conj(-h2 * z2) * z3
+    k3b = np.conj(1.0 + h2 * k2a) * z3
+    k4a = np.conj(-h * k3b) * z4
+    k4b = np.conj(1.0 + h * k3a) * z4
+    h6 = h / 6.0
+    return h6 * (2.0 * (k2a + k3a) + k4a), h6 * (z1 + 2.0 * (z2 + k3b) + k4b)
 
 
-def _matmul2(a, b):
-    # a @ b for stacks of 2x2 matrices, written out: np.matmul spends about
-    # 0.4 us on each matrix this small
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+def _compose(xa, xb, ya, yb):
+    # (I + x)(I + y) - I for quaternions x = (xa, xb), y = (ya, yb).  Steps
+    # and their products are held as their deviation from I because
+    # rounding them on the grid at 1 loses the low digits of D: it drains
+    # |a2|^2 + |a3|^2 by about 1e-13 over 12 000 steps.  Temporaries go on
+    # the left of complex products (_rk4_deviation)
+    return (xa + ya + (xa * ya - np.conj(yb) * xb),
+            xb + yb + (xa * yb + np.conj(ya) * xb))
+
+
+def _chain_product(a, b):
+    # (I + d[c-1]) ... (I + d[0]) - I for d = (a, b) by pairwise reduction
+    # along axis 0, later steps on the left
+    while len(a) > 1:
+        if len(a) % 2:
+            ta, tb = _compose(a[-1:], b[-1:], a[-2:-1], b[-2:-1])
+            a = np.concatenate((a[:-2], ta))
+            b = np.concatenate((b[:-2], tb))
+        a, b = _compose(a[1::2], b[1::2], a[0::2], b[0::2])
+    return a[0], b[0]
 
 
 def _integrate(chi, x_max, env, steps_per_unit):
     """RK4 over u in [-u_b, u_b] for paired (chi, x_max) points.
 
     S does not depend on the amplitudes, so its RK4 recurrence (Simpson's
-    rule on dS/du) is summed up front and each step on the linear pair
-    (a2, a3) becomes one 2x2 matrix I + D.  The D are built _CHUNK steps
-    at a time, each chunk's product is formed pairwise and applied to the
-    state, so memory stays flat in the number of steps.
+    rule on dS/du) is summed first and each step on the linear pair
+    (a2, a3) becomes one matrix I + D, with D a quaternion (a, b)
+    (_rk4_deviation).  Only u, f and f' live on the whole grid; p, dS/du
+    and S are built _CHUNK steps at a time, S carried across chunks by
+    the same sequential sum.  The four stage phase factors of a step come
+    from three exponentials, e^{-iS_k} and the half-step advances at the
+    step's start and middle.  Each chunk's product is formed pairwise
+    and composed into the propagator, itself held as a deviation u from
+    I, so a2 = 1 + u_a and a3 = -conj(u_b).
     """
     chi = np.atleast_1d(np.asarray(chi, dtype=float))
     x_max = np.atleast_1d(np.asarray(x_max, dtype=float))
@@ -93,34 +129,33 @@ def _integrate(chi, x_max, env, steps_per_unit):
             "phase advance %.3f rad per step exceeds %.2f; "
             "increase steps_per_unit" % (peak, MAX_PHASE_STEP))
 
-    # coupling p and phase rate dS/du on the half-step grid, one column
-    # per point; S[k] is the phase at the start of step k
+    # envelope on the half-step grid; per chunk, coupling p and phase rate
+    # dS/du get one column per point, and S[k] is the phase at step k
     u = np.linspace(-env.u_b, env.u_b, 2 * n + 1)
     f = env.value(u)[:, None]
     fp = env.derivative(u)[:, None]
-    den = 1.0 + 4.0 * x_max * x_max * f * f
-    p = x_max * fp / den
-    s = chi * np.sqrt(den)
-    S = np.zeros((n + 1, chi.size))
-    np.cumsum((h / 6.0) * (s[0:-1:2] + 4.0 * s[1::2] + s[2::2]), axis=0,
-              out=S[1:])
-
-    y = np.zeros((chi.size, 2, 1), dtype=complex)
-    y[:, 0] = 1.0
+    q = 4.0 * x_max * x_max
     h2 = 0.5 * h
+    S = np.zeros((1, chi.size))
+    ua = ub = np.zeros(chi.size, dtype=complex)
     for k0 in range(0, n, _CHUNK):
         k1 = min(k0 + _CHUNK, n)
-        pc = p[2 * k0:2 * k1 + 1]
-        sc = s[2 * k0:2 * k1 + 1]
-        s0 = S[k0:k1]
-        pm, sm = pc[1::2], sc[1::2]
-        deltas = _rk4_deltas(_stage_matrices(pc[0:-1:2], s0),
-                             _stage_matrices(pm, s0 + h2 * sc[0:-1:2]),
-                             _stage_matrices(pm, s0 + h2 * sm),
-                             _stage_matrices(pc[2::2], s0 + h * sm),
-                             h, _matmul2)
-        y = y + _matmul2(_chain_product(deltas, _matmul2), y)
-    return y[:, 0, 0], y[:, 1, 0], S[n]
+        fc = f[2 * k0:2 * k1 + 1]
+        den = 1.0 + q * fc * fc
+        p = x_max * fp[2 * k0:2 * k1 + 1] / den
+        s = chi * np.sqrt(den)
+        S = np.cumsum(np.concatenate(
+            (S[-1:], (h / 6.0) * (s[0:-1:2] + 4.0 * s[1::2] + s[2::2]))),
+            axis=0)
+        e0 = np.exp(-1j * S[:-1])
+        # e^{-i h/2 s} at each step's start (even) and middle (odd)
+        half = np.exp((-1j * h2) * s[:-1])
+        e0m = e0 * half[1::2]
+        pm = p[1::2]
+        da, db = _rk4_deviation(p[0:-1:2] * e0, pm * (e0 * half[0::2]),
+                                pm * e0m, p[2::2] * (e0m * half[1::2]), h)
+        ua, ub = _compose(*_chain_product(da, db), ua, ub)
+    return 1.0 + ua, -np.conj(ub), S[-1]
 
 
 def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=2000):
@@ -161,23 +196,30 @@ def integrate_amplitudes_batch(chi, x_max, env=None, steps_per_unit=2000):
 def gate_error_pure(c, d):
     """Worst-case error over initial states from the final amplitudes.
 
-    For initial Phi_2 population p the fidelity is F(p) = |1 + p(c-1)|^2,
-    a quadratic in p minimized in closed form; the phase of the initial
-    amplitude drops out.  Typical near-adiabatic gates are leakage
-    dominated and clamp at p* = 1 where E = 1 - |c|^2.
+    For initial Phi_2 population p the fidelity is F(p) = |1 + p w|^2 with
+    w = c - 1; the phase of the initial amplitude drops out.  The exact
+    dynamics is unitary, |1 + w|^2 + |d|^2 = 1, so Re w = -r/2 with
+    r = |w|^2 + |d|^2 and 1 - F(p) = p r - p^2 |w|^2.  Its maximum over
+    p in [0, 1] is read off |w| and |d| alone, never off 1 - F, which
+    cancels for small errors (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 1): E = |d|^2 at p* = 1 when |d|^2 >= |w|^2, as for
+    typical leakage-dominated near-adiabatic gates, and otherwise
+    E = r^2 / (4 |w|^2) at p* = r / (2 |w|^2).
     """
     norm = abs(c) ** 2 + abs(d) ** 2
     if abs(norm - 1.0) > 1e-8:
         raise ConfigurationError(
             "|c|^2 + |d|^2 = %.12g violates unit norm" % norm)
-    w = c - 1.0
-    w2 = abs(w) ** 2
+    w2 = abs(c - 1.0) ** 2
     if w2 == 0.0:
         return GateErrorResult(error=0.0, c=c, d=d, p_star=0.5)
-    p = min(1.0, max(0.0, -w.real / w2))
-    fid = abs(1.0 + p * w) ** 2
-    err = min(1.0, max(0.0, 1.0 - fid))
-    return GateErrorResult(error=err, c=c, d=d, p_star=p)
+    d2 = abs(d) ** 2
+    if d2 >= w2:
+        p, err = 1.0, d2
+    else:
+        r = w2 + d2
+        p, err = r / (2.0 * w2), r * r / (4.0 * w2)
+    return GateErrorResult(error=min(1.0, err), c=c, d=d, p_star=p)
 
 
 def nonadiabatic_error(angle, chi, env=None, steps_per_unit=2000):

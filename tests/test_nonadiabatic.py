@@ -1,6 +1,8 @@
 """Amplitude integration and worst-case pure-state gate error."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from conftest import integrate_bare_schrodinger
 
 from ramansim import (ConfigurationError, NumericalError, PulseEnvelope,
                       gate_error_pure, integrate_amplitudes,
-                      integrate_amplitudes_batch, nonadiabatic_error,
-                      solve_xmax)
+                      integrate_amplitudes_batch, lindblad, nonadiabatic,
+                      nonadiabatic_error, solve_xmax)
 
 # frozen from an independent adaptive integration of the same system
 E_PI_15 = 1.2515490443e-05
@@ -155,6 +157,44 @@ class TestGateErrorPure:
         with pytest.raises(ConfigurationError):
             gate_error_pure(0.9 + 0.0j, 0.0j)
 
+    def test_unitary_pairs_match_exact_maximum(self):
+        # (c, d) from rational unit quaternions (1 - |v|^2, 2v) / (1 + |v|^2),
+        # exactly unitary before rounding to floats; the reference is
+        # max over p in [0, 1] of 1 - |1 + p(c - 1)|^2 in exact arithmetic.
+        # Measured: 6.9e-18 absolute, 6.5e-16 relative over E = 1e-12..0.1;
+        # 1 - |1 + p(c - 1)|^2 in floats is 2.3e-16 absolute off here
+        rng = random.Random(5)
+        for k in range(300):
+            scale = 10.0 ** rng.uniform(-6.0, -1.0)
+            v = [Fraction(rng.uniform(-1.0, 1.0) * scale) for _ in range(3)]
+            if k % 3 == 0:  # phase dominated
+                v[1] /= 1000
+                v[2] /= 1000
+            elif k % 3 == 1:  # leakage dominated
+                v[0] /= 1000
+            v2 = sum(x * x for x in v)
+            cr, ci, dr, di = ((1 - v2) / (1 + v2),
+                              *(2 * x / (1 + v2) for x in v))
+            wr, w2 = cr - 1, (cr - 1) ** 2 + ci ** 2
+            p = min(Fraction(1), max(Fraction(0), -wr / w2))
+            want = float(-2 * p * wr - p * p * w2)
+            got = gate_error_pure(complex(float(cr), float(ci)),
+                                  complex(float(dr), float(di)))
+            assert abs(got.error - want) <= 1e-16
+            assert abs(got.error - want) <= 2e-15 * want
+            assert got.p_star == pytest.approx(float(p), rel=1e-12)
+
+    @pytest.mark.parametrize("angle, chi", [(math.pi, 160.0),
+                                            (math.pi / 2, 190.0)])
+    def test_converged_at_large_chi(self, angle, chi):
+        # E ~ 1e-9 and 2e-10: 1 - F(p*) would lose the low digits to
+        # cancellation and to RK4's norm drift (1.4e-4 and 8.8e-4 relative
+        # between these step counts); measured 1.7e-7 and 3.2e-7
+        x = solve_xmax(angle, chi)
+        e = [gate_error_pure(*_final(integrate_amplitudes(
+            chi, x, steps_per_unit=steps))).error for steps in (2000, 8000)]
+        assert abs(e[0] - e[1]) <= 1e-6 * e[1]
+
 
 class TestNonadiabaticError:
 
@@ -205,3 +245,43 @@ class TestBatchIntegration:
         a2, a3, _ = integrate_amplitudes_batch(10.0, 0.0)
         assert a2[0] == 1.0
         assert a3[0] == 0.0
+
+
+def _stage(z):
+    # the 2x2 generator [[0, z], [-z*, 0]] of (a2, a3) at one RK4 stage
+    a = np.zeros(z.shape + (2, 2), dtype=complex)
+    a[..., 0, 1] = z
+    a[..., 1, 0] = -np.conj(z)
+    return a
+
+
+class TestQuaternionKernel:
+
+    def test_deviation_matches_matrix_rk4(self):
+        # measured gap 1.4e-17 on |D| up to 0.13
+        rng = np.random.default_rng(3)
+        z = [rng.uniform(0.0, 3.0, 500)
+             * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 500))
+             for _ in range(4)]
+        h = 0.05
+        da, db = nonadiabatic._rk4_deviation(*z, h)
+        d = lindblad._rk4_deltas(*(_stage(x) for x in z), h)
+        assert np.max(np.abs(d[:, 0, 0] - da)) < 5e-17
+        assert np.max(np.abs(d[:, 0, 1] - db)) < 5e-17
+        assert np.max(np.abs(d[:, 1, 0] + np.conj(db))) < 5e-17
+        assert np.max(np.abs(d[:, 1, 1] - np.conj(da))) < 5e-17
+
+    def test_batch_equals_scalar_calls_bitwise(self):
+        # 12 000 steps: five whole chunks and a partial one; twenty points
+        # make the chunk arrays large enough for numpy to reuse temporaries
+        n = int(round(2.0 * PulseEnvelope().u_b * 2000))
+        assert n > 2 * nonadiabatic._CHUNK
+        assert n % nonadiabatic._CHUNK != 0
+        chis = np.linspace(4.0, 40.0, 20)
+        xs = solve_xmax(math.pi, chis)
+        a2, a3, phase = integrate_amplitudes_batch(chis, xs)
+        for i, chi in enumerate(chis):
+            amps = integrate_amplitudes(float(chi), float(xs[i]))
+            assert a2[i] == amps.a2
+            assert a3[i] == amps.a3
+            assert phase[i] == amps.phase
