@@ -252,10 +252,10 @@ def cmd_gate(args):
     env = PulseEnvelope(u_b=args.ub)
     decay = _decay(args)
     step = _step_option(args, decay)
+    if not args.angle > 0.0:
+        raise ConfigurationError("angle must be positive")
     if decay.total == 0.0:
         chi, _, _ = _timing(args)
-        if not args.angle > 0.0:
-            raise ConfigurationError("angle must be positive")
         # nonadiabatic_error's composition, calibrating once for both the
         # error and the printed x_max
         x = solve_xmax(args.angle, chi, env)

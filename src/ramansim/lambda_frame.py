@@ -52,10 +52,6 @@ class PhysicalUnits:
         """meV -> angular frequency [ns^-1]."""
         return mev * self.mev_to_inv_ns
 
-    def rate_to_energy(self, inv_ns):
-        """angular frequency [ns^-1] -> meV."""
-        return inv_ns / self.mev_to_inv_ns
-
 
 @dataclass(frozen=True)
 class PulseEnvelope:
@@ -201,17 +197,15 @@ class RotationSpec:
             raise ConfigurationError("axis must be a unit 3-vector")
         object.__setattr__(self, "axis", axis)
 
-    @property
-    def adiabatic_phase(self):
-        """Signed accumulated phase of Phi_2; always -angle."""
-        return -self.angle
-
     @classmethod
     def from_angles(cls, angle, alpha=0.0, beta=math.pi / 4):
         return cls(angle=angle, axis=rotation_axis(alpha, beta))
 
     def unitary(self):
-        """2x2 qubit unitary exp(-i/2 * adiabatic_phase * sigma.n)."""
+        """2x2 qubit unitary exp(+i/2 * angle * sigma.n).
+
+        The sign is that of Phi_2's adiabatic phase, which runs to -angle.
+        """
         nx, ny, nz = self.axis
         half = 0.5 * self.angle
         c, s = math.cos(half), math.sin(half)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +54,14 @@ class FitResult:
     residual_max: float
 
 
+def _r_squared(y, pred):
+    """R^2 of pred against the variance of y, clipped to [0, 1]."""
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / max(ss_tot, 1e-300)
+    return min(1.0, max(0.0, r2))
+
+
 def fit_linear_through_origin(x, y, floor=0.0):
     """Fit y = floor + k*x with the floor held fixed.
 
@@ -69,11 +77,8 @@ def fit_linear_through_origin(x, y, floor=0.0):
         raise ConfigurationError("all x values are zero")
     k = float(np.dot(x, y - floor)) / sxx
     pred = floor + k * x
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / max(ss_tot, 1e-300)
     return FitResult(model="linear-through-origin", coefficient=k,
-                     r_squared=min(1.0, max(0.0, r2)),
+                     r_squared=_r_squared(y, pred),
                      residual_max=float(np.max(np.abs(y - pred))))
 
 
@@ -88,12 +93,9 @@ def fit_inverse(x, y):
     inv = 1.0 / x
     c = float(np.dot(inv, y)) / float(np.dot(inv, inv))
     pred = c * inv
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / max(ss_tot, 1e-300)
     rel = np.max(np.abs(y - pred) / np.maximum(np.abs(y), 1e-300))
     return FitResult(model="inverse", coefficient=c,
-                     r_squared=min(1.0, max(0.0, r2)),
+                     r_squared=_r_squared(y, pred),
                      residual_max=float(rel))
 
 
@@ -104,9 +106,16 @@ def _out_of_regime(msg, enforce):
     warnings.warn(msg)
 
 
-def _tool_tag():
+def _metadata(table, env, **fields):
+    """The header every table's metadata opens with, then its own fields."""
     from . import __version__
-    return "ramansim " + __version__
+    return {"table": table, "tool": "ramansim " + __version__,
+            "envelope": "truncated-gaussian", "u_b": repr(env.u_b), **fields}
+
+
+def _ratio(err, est):
+    """Exact error over the estimate angle * gamma / detuning; nan at 0."""
+    return err / est if est > 0.0 else math.nan
 
 
 def _float_list(values):
@@ -129,14 +138,8 @@ def sweep_xmax_vs_chi(angle, chi_values, env=None):
         raise ConfigurationError("chi_values must be positive and increasing")
     rows = tuple((float(c), float(x))
                  for c, x in zip(chi_values, solve_xmax(angle, chi_values, env)))
-    meta = {
-        "table": "xmax-vs-chi",
-        "tool": _tool_tag(),
-        "envelope": "truncated-gaussian",
-        "u_b": repr(env.u_b),
-        "angle_rad": repr(float(angle)),
-        "chi_values": _float_list(chi_values),
-    }
+    meta = _metadata("xmax-vs-chi", env, angle_rad=repr(float(angle)),
+                     chi_values=_float_list(chi_values))
     return SweepTable(name="xmax-vs-chi", columns=("chi", "x_max"),
                       rows=rows, metadata=meta)
 
@@ -159,14 +162,8 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
         raise ConfigurationError("chi values must be positive")
 
     has_decay = decay is not None and decay.total > 0.0
-    meta = {
-        "table": "error-vs-chi",
-        "tool": _tool_tag(),
-        "envelope": "truncated-gaussian",
-        "u_b": repr(env.u_b),
-        "angle_rad": _float_list(angles),
-        "chi_values": _float_list(chi_values),
-    }
+    meta = _metadata("error-vs-chi", env, angle_rad=_float_list(angles),
+                     chi_values=_float_list(chi_values))
 
     if not has_decay:
         meta["steps_per_unit"] = str(steps_per_unit)
@@ -186,16 +183,12 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
 
     if detuning is None or not detuning > 0.0:
         raise ConfigurationError("decay sweeps need a positive detuning")
-    meta.update({
-        "detuning_inv_ns": repr(float(detuning)),
-        "gamma0_inv_ns": repr(decay.gamma0),
-        "gamma1_inv_ns": repr(decay.gamma1),
-        "prefactor": repr(decay.prefactor),
-        "alpha_rad": repr(float(alpha)),
-        "beta_rad": repr(float(beta)),
-        "dt_rule": _dt_rule(dt),
-        "final_time": "light-off",
-    })
+    meta.update(
+        detuning_inv_ns=repr(float(detuning)),
+        gamma0_inv_ns=repr(decay.gamma0), gamma1_inv_ns=repr(decay.gamma1),
+        prefactor=repr(decay.prefactor), alpha_rad=repr(float(alpha)),
+        beta_rad=repr(float(beta)), dt_rule=_dt_rule(dt),
+        final_time="light-off")
 
     rows = []
     for angle in angles.tolist():
@@ -207,18 +200,25 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
             drive = DriveConfig(detuning=detuning, tau=tau, x_max=x,
                                 alpha=alpha, beta=beta, envelope=env)
             err = gate_error_mixed(drive, decay, target=target, dt=dt)
-            rows.append((angle, chi, tau, x, err, est, err / est))
+            rows.append((angle, chi, tau, x, err, est, _ratio(err, est)))
     return SweepTable(
         name="error-vs-chi",
         columns=("angle", "chi", "tau", "x_max", "error", "estimate", "ratio"),
         rows=tuple(rows), metadata=meta)
 
 
-def _decay_grid_rows(angle, tau, detunings, gammas, prefactor, env, dt,
-                     alpha, beta, enforce_regime):
-    """Shared engine for the (detuning, gamma) grids: the calibration and
-    the gamma = 0 floor of every detuning in one call each, then one
-    master-equation run per point."""
+def _decay_grid(table, columns, angle, tau, detunings, gammas, prefactor,
+                env, dt, alpha, beta, enforce_regime, estimate_max=math.inf):
+    """Shared engine of the (detuning, gamma) tables.
+
+    Validates, guards the largest estimate against estimate_max and each
+    chi against CHI_REGIME_MIN, calibrates every detuning and integrates
+    its gamma = 0 floor in one call each, then runs the master equation
+    once per point, detunings outer and gammas inner.  Returns the table
+    of the named columns with rows in evaluation order.
+    """
+    if env is None:
+        env = PulseEnvelope()
     detunings = np.asarray(detunings, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     if np.any(detunings <= 0.0):
@@ -228,6 +228,11 @@ def _decay_grid_rows(angle, tau, detunings, gammas, prefactor, env, dt,
     if not tau > 0.0:
         raise ConfigurationError("tau must be positive")
 
+    worst = angle * float(np.max(gammas)) / float(np.min(detunings))
+    if worst > estimate_max + 1e-12:
+        _out_of_regime("estimated error %.3g beyond the percent-level "
+                       "regime (<= %g)" % (worst, estimate_max),
+                       enforce_regime)
     chis = detunings * tau
     for chi in chis:
         if chi < CHI_REGIME_MIN - 1e-9:
@@ -236,7 +241,7 @@ def _decay_grid_rows(angle, tau, detunings, gammas, prefactor, env, dt,
     xs = solve_xmax(angle, chis, env)
     a2s, a3s, _ = integrate_amplitudes_batch(chis, xs, env)
     target = RotationSpec.from_angles(angle, alpha, beta)
-    results = []
+    rows = []
     for det, x, a2, a3 in zip(detunings.tolist(), xs.tolist(),
                               a2s.tolist(), a3s.tolist()):
         floor = gate_error_pure(a2, a3).error
@@ -246,28 +251,39 @@ def _decay_grid_rows(angle, tau, detunings, gammas, prefactor, env, dt,
             decay = DecayConfig(gamma0=0.5 * gamma, gamma1=0.5 * gamma,
                                 prefactor=prefactor)
             err = gate_error_mixed(drive, decay, target=target, dt=dt)
-            results.append((det, gamma, err, floor))
-    return detunings, gammas, results
+            est = angle * gamma / det
+            frac = floor / est if est > 0.0 else math.inf
+            cells = {"detuning": det, "gamma": gamma, "error": err,
+                     "error_floor": floor, "estimate": est,
+                     "ratio": _ratio(err, est),
+                     "scaled_excess": (err - floor) * det,
+                     "floor_fraction": frac,
+                     "floor_dominated": 1.0 if frac > 0.1 else 0.0}
+            rows.append(tuple(cells[c] for c in columns))
+
+    meta = _metadata(
+        table, env, angle_rad=repr(float(angle)), tau_ns=repr(float(tau)),
+        detunings_inv_ns=_float_list(detunings),
+        gammas_inv_ns=_float_list(gammas), gamma_split="equal",
+        prefactor=repr(float(prefactor)), alpha_rad=repr(float(alpha)),
+        beta_rad=repr(float(beta)), dt_rule=_dt_rule(dt),
+        final_time="light-off")
+    return SweepTable(name=table, columns=columns, rows=tuple(rows),
+                      metadata=meta)
 
 
-def _decay_grid_metadata(table, angle, tau, detunings, gammas, prefactor,
-                         env, dt, alpha, beta):
-    return {
-        "table": table,
-        "tool": _tool_tag(),
-        "envelope": "truncated-gaussian",
-        "u_b": repr(env.u_b),
-        "angle_rad": repr(float(angle)),
-        "tau_ns": repr(float(tau)),
-        "detunings_inv_ns": _float_list(detunings),
-        "gammas_inv_ns": _float_list(gammas),
-        "gamma_split": "equal",
-        "prefactor": repr(float(prefactor)),
-        "alpha_rad": repr(float(alpha)),
-        "beta_rad": repr(float(beta)),
-        "dt_rule": _dt_rule(dt),
-        "final_time": "light-off",
-    }
+def _by_first_column(rows):
+    """Rows grouped by their first cell, each group in evaluation order."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(row[0], []).append(row)
+    return groups
+
+
+def _sorted_rows(table):
+    """The table with its rows sorted by gamma, then detuning."""
+    return replace(table, rows=tuple(sorted(
+        table.rows, key=lambda r: (r[0], r[1]))))
 
 
 def sweep_error_vs_gamma(detunings, gammas, angle, tau, prefactor=0.5,
@@ -279,33 +295,17 @@ def sweep_error_vs_gamma(detunings, gammas, angle, tau, prefactor=0.5,
     linear-with-floor fit E = E0 + k*gamma.  The floor E0 comes from the
     independent decay-free computation.
     """
-    if env is None:
-        env = PulseEnvelope()
-    detunings, gammas, results = _decay_grid_rows(
+    table = _decay_grid(
+        "error-vs-gamma",
+        ("detuning", "gamma", "error", "error_floor", "estimate", "ratio"),
         angle, tau, detunings, gammas, prefactor, env, dt, alpha, beta,
         enforce_regime)
-
-    rows = []
-    for det, gamma, err, floor in results:
-        estimate = angle * gamma / det
-        ratio = err / estimate if estimate > 0.0 else float("nan")
-        rows.append((det, gamma, err, floor, estimate, ratio))
-
-    fits = {}
-    for det in (float(d) for d in detunings):
-        sel = [(g, e) for d, g, e, _ in results if d == det]
-        if len(sel) < 2:
-            continue  # a one-point sweep has no slope to fit
-        floor = next(f for d, _, _, f in results if d == det)
-        fits[det] = fit_linear_through_origin(
-            [g for g, _ in sel], [e for _, e in sel], floor=floor)
-
-    meta = _decay_grid_metadata("error-vs-gamma", angle, tau, detunings,
-                                gammas, prefactor, env, dt, alpha, beta)
-    table = SweepTable(
-        name="error-vs-gamma",
-        columns=("detuning", "gamma", "error", "error_floor", "estimate", "ratio"),
-        rows=tuple(rows), metadata=meta)
+    # a one-point sweep has no slope to fit
+    fits = {det: fit_linear_through_origin([r[1] for r in pts],
+                                           [r[2] for r in pts],
+                                           floor=pts[0][3])
+            for det, pts in _by_first_column(table.rows).items()
+            if len(pts) >= 2}
     return table, fits
 
 
@@ -317,33 +317,16 @@ def sweep_error_vs_delta(gammas, detunings, angle, tau, prefactor=0.5,
     The scaled_excess column holds (E - E0(detuning)) * detuning, which
     is flat when the decay part of the error follows 1/detuning.
     """
-    if env is None:
-        env = PulseEnvelope()
-    detunings, gammas, results = _decay_grid_rows(
+    table = _decay_grid(
+        "error-vs-delta",
+        ("gamma", "detuning", "error", "error_floor", "estimate",
+         "scaled_excess"),
         angle, tau, detunings, gammas, prefactor, env, dt, alpha, beta,
         enforce_regime)
-
-    by_gamma = {}
-    rows = []
-    for det, gamma, err, floor in results:
-        estimate = angle * gamma / det
-        rows.append((gamma, det, err, floor, estimate, (err - floor) * det))
-        by_gamma.setdefault(gamma, []).append((det, err))
-    rows.sort(key=lambda r: (r[0], r[1]))
-
-    fits = {}
-    for gamma, pts in by_gamma.items():
-        if gamma > 0.0 and len(pts) >= 2:
-            fits[gamma] = fit_inverse([d for d, _ in pts], [e for _, e in pts])
-
-    meta = _decay_grid_metadata("error-vs-delta", angle, tau, detunings,
-                                gammas, prefactor, env, dt, alpha, beta)
-    table = SweepTable(
-        name="error-vs-delta",
-        columns=("gamma", "detuning", "error", "error_floor", "estimate",
-                 "scaled_excess"),
-        rows=tuple(rows), metadata=meta)
-    return table, fits
+    fits = {gamma: fit_inverse([r[1] for r in pts], [r[2] for r in pts])
+            for gamma, pts in _by_first_column(table.rows).items()
+            if gamma > 0.0 and len(pts) >= 2}
+    return _sorted_rows(table), fits
 
 
 def ratio_grid(gammas, detunings, angle, tau, prefactor=0.5, env=None,
@@ -353,36 +336,12 @@ def ratio_grid(gammas, detunings, angle, tau, prefactor=0.5, env=None,
     floor_dominated flags rows where the decay-free floor exceeds 10% of
     the estimate, where the ratio stops measuring the decay physics.
     """
-    if env is None:
-        env = PulseEnvelope()
-    gammas_arr = np.asarray(gammas, dtype=float)
-    detunings_arr = np.asarray(detunings, dtype=float)
-    if np.any(gammas_arr > 0.0):
-        worst = angle * float(np.max(gammas_arr)) / float(np.min(detunings_arr))
-        if worst > ESTIMATE_REGIME_MAX + 1e-12:
-            _out_of_regime("estimated error %.3g beyond the percent-level "
-                           "regime (<= %g)" % (worst, ESTIMATE_REGIME_MAX),
-                           enforce_regime)
-    detunings_arr, gammas_arr, results = _decay_grid_rows(
-        angle, tau, detunings_arr, gammas_arr, prefactor, env, dt, alpha,
-        beta, enforce_regime)
-
-    rows = []
-    for det, gamma, err, floor in results:
-        estimate = angle * gamma / det
-        ratio = err / estimate if estimate > 0.0 else float("nan")
-        frac = floor / estimate if estimate > 0.0 else float("inf")
-        rows.append((gamma, det, err, estimate, ratio, frac,
-                     1.0 if frac > 0.1 else 0.0))
-    rows.sort(key=lambda r: (r[0], r[1]))
-
-    meta = _decay_grid_metadata("ratio-grid", angle, tau, detunings_arr,
-                                gammas_arr, prefactor, env, dt, alpha, beta)
-    return SweepTable(
-        name="ratio-grid",
-        columns=("gamma", "detuning", "error", "estimate", "ratio",
-                 "floor_fraction", "floor_dominated"),
-        rows=tuple(rows), metadata=meta)
+    return _sorted_rows(_decay_grid(
+        "ratio-grid",
+        ("gamma", "detuning", "error", "estimate", "ratio", "floor_fraction",
+         "floor_dominated"),
+        angle, tau, detunings, gammas, prefactor, env, dt, alpha, beta,
+        enforce_regime, estimate_max=ESTIMATE_REGIME_MAX))
 
 
 def trace_run(drive, decay=None, rho0=None, dt=None, record_stride=10):
@@ -398,21 +357,12 @@ def trace_run(drive, decay=None, rho0=None, dt=None, record_stride=10):
 
 def records_to_table(records, drive, decay, extra_metadata=None):
     """Pack TraceRecords into a SweepTable for CSV output."""
-    meta = {
-        "table": "trace",
-        "tool": _tool_tag(),
-        "envelope": "truncated-gaussian",
-        "u_b": repr(drive.envelope.u_b),
-        "detuning_inv_ns": repr(drive.detuning),
-        "tau_ns": repr(drive.tau),
-        "x_max": repr(drive.x_max),
-        "alpha_rad": repr(drive.alpha),
-        "beta_rad": repr(drive.beta),
-        "gamma0_inv_ns": repr(decay.gamma0),
-        "gamma1_inv_ns": repr(decay.gamma1),
-        "prefactor": repr(decay.prefactor),
-        "final_time": "light-off",
-    }
+    meta = _metadata(
+        "trace", drive.envelope, detuning_inv_ns=repr(drive.detuning),
+        tau_ns=repr(drive.tau), x_max=repr(drive.x_max),
+        alpha_rad=repr(drive.alpha), beta_rad=repr(drive.beta),
+        gamma0_inv_ns=repr(decay.gamma0), gamma1_inv_ns=repr(decay.gamma1),
+        prefactor=repr(decay.prefactor), final_time="light-off")
     if extra_metadata:
         meta.update(extra_metadata)
     rows = tuple((r.t, r.pop0, r.pop1, r.pop_x, r.purity, r.p1, r.p2, r.p3)

@@ -176,6 +176,12 @@ class TestExitCodes:
         assert run(["gate", "--angle", "0", "--chi", "21"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_gate_decay_rejects_zero_angle(self, capsys):
+        # the zero estimate would divide by zero in the printed ratio
+        assert run(["gate", "--angle", "0", "--delta", "1meV", "--tau",
+                    "14ps", "--gamma0", "1ns^-1"]) == 2
+        assert capsys.readouterr().err == "error: angle must be positive\n"
+
     @pytest.mark.parametrize("argv", [
         ["trace", "--angle", "pi", "--delta", "1meV", "--chi", "15",
          "--grid", "3x3"],

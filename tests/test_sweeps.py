@@ -116,8 +116,17 @@ class TestSweepErrorVsChi:
         assert row[2] == pytest.approx(20.0 / 1500.0, rel=1e-15)
         drive = DriveConfig(detuning=1500.0, tau=row[2], x_max=row[3])
         direct = gate_error_mixed(drive, decay)
-        assert row[4] == pytest.approx(direct, rel=1e-12)
-        assert row[6] == pytest.approx(row[4] / row[5], rel=1e-12)
+        assert row[4] == pytest.approx(direct, rel=1e-12, abs=0)
+        assert row[6] == pytest.approx(row[4] / row[5], rel=1e-12, abs=0)
+
+    def test_decay_zero_angle_ratio_is_nan(self):
+        # a zero estimate gives a nan ratio, as in the (Delta, gamma) grids
+        table = sweep_error_vs_chi(0.0, [20.0],
+                                   decay=DecayConfig(gamma0=1.0),
+                                   detuning=1500.0)
+        row = dict(zip(table.columns, table.rows[0]))
+        assert row["estimate"] == 0.0
+        assert math.isnan(row["ratio"])
 
 
 class TestCalibratesOnce:
@@ -244,6 +253,73 @@ class TestRatioGrid:
         with pytest.warns(UserWarning, match="percent-level"):
             ratio_grid([40.0], [1500.0], math.pi, 20.0 / 1500.0,
                        enforce_regime=False)
+
+    def test_zero_detuning_rejected_before_the_guard(self):
+        # the percent-level guard divides by the smallest detuning
+        with pytest.raises(ConfigurationError, match="detunings must be"):
+            ratio_grid([2.0], [0.0, 1500.0], math.pi, 0.014)
+
+
+class TestGridOrder:
+    """Unsorted detunings and gammas, gamma = 0 included, in each grid."""
+
+    DETUNINGS = [4500.0, 1500.0, 3000.0]  # a sorted-order fit differs here
+    GAMMAS = [4.0, 0.0, 2.0]
+    TAU = 0.014
+
+    @pytest.fixture(scope="class")
+    def grids(self):
+        args = (math.pi, self.TAU)
+        return {
+            "gamma": sweep_error_vs_gamma(self.DETUNINGS, self.GAMMAS, *args),
+            "delta": sweep_error_vs_delta(self.GAMMAS, self.DETUNINGS, *args),
+            "ratio": (ratio_grid(self.GAMMAS, self.DETUNINGS, *args), None),
+        }
+
+    def test_gamma_rows_keep_input_order(self, grids):
+        table, _ = grids["gamma"]
+        assert [r[:2] for r in table.rows] == [
+            (d, g) for d in self.DETUNINGS for g in self.GAMMAS]
+
+    @pytest.mark.parametrize("name", ["delta", "ratio"])
+    def test_rows_sorted_by_gamma_then_detuning(self, grids, name):
+        table, _ = grids[name]
+        keys = [r[:2] for r in table.rows]
+        assert keys == sorted(
+            (g, d) for d in self.DETUNINGS for g in self.GAMMAS)
+
+    def test_same_point_same_error(self, grids):
+        by_point = {(r[0], r[1]): r[2] for r in grids["gamma"][0].rows}
+        for name in ("delta", "ratio"):
+            for row in grids[name][0].rows:
+                assert row[2] == by_point[(row[1], row[0])]
+
+    def test_gamma_fits_over_evaluation_order(self, grids):
+        table, fits = grids["gamma"]
+        assert list(fits) == self.DETUNINGS
+        for det in self.DETUNINGS:
+            rows = [r for r in table.rows if r[0] == det]
+            assert fits[det] == fit_linear_through_origin(
+                [r[1] for r in rows], [r[2] for r in rows], floor=rows[0][3])
+
+    def test_delta_fits_over_evaluation_order(self, grids):
+        table, fits = grids["delta"]
+        assert sorted(fits) == [2.0, 4.0]  # gamma = 0 has no decay to fit
+        for gamma in (4.0, 2.0):
+            errors = {r[1]: r[2] for r in table.rows if r[0] == gamma}
+            assert fits[gamma] == fit_inverse(
+                self.DETUNINGS, [errors[d] for d in self.DETUNINGS])
+
+    def test_zero_gamma_cells(self, grids):
+        for name in ("gamma", "ratio"):
+            table, _ = grids[name]
+            rows = [dict(zip(table.columns, r)) for r in table.rows]
+            for row in rows:
+                zero = row["gamma"] == 0.0
+                assert (row["estimate"] == 0.0) == zero
+                assert math.isnan(row["ratio"]) == zero
+                if "floor_fraction" in row:
+                    assert (row["floor_fraction"] == math.inf) == zero
 
 
 class TestTraceRun:
