@@ -24,14 +24,15 @@ import tempfile
 
 from .errors import ConfigurationError, NumericalError
 from .lambda_frame import (MEV_TO_INV_NS_PHYSICAL, DriveConfig, PhysicalUnits,
-                           PulseEnvelope, RotationSpec, eigensystem,
-                           rotation_angle, rotation_axis, solve_xmax)
-from .lindblad import (DecayConfig, _worst_case, density_from_state,
-                       gate_error_mixed, qubit_state)
+                           PulseEnvelope, RotationSpec, solve_xmax)
+from .lindblad import (DT_Z_LIMIT, WORST_CASE_DT_Z_LIMIT, DecayConfig,
+                       _worst_case, density_from_state,
+                       estimate_spontaneous_error, gate_error_mixed,
+                       qubit_state)
 from .nonadiabatic import gate_error_pure, integrate_amplitudes
-from .sweeps import (ratio_grid, records_to_table, sweep_error_vs_chi,
-                     sweep_error_vs_delta, sweep_error_vs_gamma,
-                     sweep_xmax_vs_chi, trace_run)
+from .sweeps import (CHI_REGIME_MIN, ratio_grid, records_to_table,
+                     sweep_error_vs_chi, sweep_error_vs_delta,
+                     sweep_error_vs_gamma, sweep_xmax_vs_chi, trace_run)
 
 _PI_FORM = re.compile(r"^([+-]?\d*\.?\d*)pi(?:/(\d*\.?\d+))?$")
 _UNIT_SUFFIX = re.compile(r"(meV|ns\^-1|ps|ns)$")
@@ -222,21 +223,19 @@ def _print_kv(pairs):
 # that builds a table returns it for run() to write.
 
 def cmd_frame(args):
-    env = PulseEnvelope(u_b=args.ub)
     chi, det, tau = _timing(args)
-    x = solve_xmax(args.angle, chi, env)
-    lam = rotation_angle(chi, x, env)
-    axis = rotation_axis(args.alpha, args.beta)
-    unit, scale = (det, "ns^-1") if det is not None else (1.0, "Delta")
-    om = unit * x
-    es = eigensystem(om * math.cos(args.beta), om * math.sin(args.beta),
-                     unit, args.alpha, beta=args.beta)
+    # without physical timing, energies are in units of Delta
+    drive = DriveConfig.for_rotation(
+        args.angle, 1.0 if det is None else det, chi if tau is None else tau,
+        alpha=args.alpha, beta=args.beta, envelope=PulseEnvelope(u_b=args.ub))
+    rot = drive.rotation()
+    es = drive.eigensystem_at(0.0)
     pairs = [
         ("chi", chi),
-        ("x_max", x),
-        ("rotation_angle_rad", lam),
-        ("axis_x", axis[0]), ("axis_y", axis[1]), ("axis_z", axis[2]),
-        ("energy_unit", scale),
+        ("x_max", drive.x_max),
+        ("rotation_angle_rad", rot.angle),
+        *zip(("axis_x", "axis_y", "axis_z"), rot.axis),
+        ("energy_unit", "Delta" if det is None else "ns^-1"),
         ("omega_peak", es.omega),
         ("z_peak", es.z),
         ("phi_peak_rad", es.phi),
@@ -280,7 +279,7 @@ def cmd_gate(args):
     # would print as digits that move with any reordering of its sums
     _, worst_n = _worst_case(drive, decay, target, args.dt)
     worst_n = [0.0 if abs(v) < 1e-9 else v for v in worst_n]
-    est = args.angle * decay.total / det
+    est = estimate_spontaneous_error(args.angle, decay.total, det)
     _print_kv([
         ("chi", chi),
         ("x_max", drive.x_max),
@@ -386,7 +385,7 @@ def build_parser(units):
         if need_axis:
             p.add_argument("--alpha", type=angle, default=0.0)
             p.add_argument("--beta", type=angle, default=math.pi / 4)
-        p.add_argument("--ub", type=float, default=3.0,
+        p.add_argument("--ub", type=float, default=PulseEnvelope().u_b,
                        help="envelope truncation halfwidth u_b")
 
     def output_opt(p):
@@ -400,8 +399,8 @@ def build_parser(units):
                        help="pulse halfwidth (ps or ns suffix)")
 
     def prefactor_opt(p):
-        p.add_argument("--prefactor", type=float, choices=(0.5, 1.0),
-                       default=0.5, help="dissipator prefactor")
+        p.add_argument("--prefactor", type=float, help="dissipator prefactor",
+                       default=DecayConfig().prefactor)
 
     def decay_opts(p):
         p.add_argument("--gamma0", type=rate, default=0.0,
@@ -417,9 +416,10 @@ def build_parser(units):
     def dt_opt(p):
         p.add_argument("--dt", type=time,
                        help="master-equation step (ps or ns suffix); "
-                            "defaults to 0.04/Z_max for worst-case errors "
-                            "and 0.02/Z_max for traces, the finer step "
-                            "because a trace prints the state itself")
+                            "defaults to %g/Z_max for worst-case errors "
+                            "and %g/Z_max for traces, the finer step "
+                            "because a trace prints the state itself"
+                            % (WORST_CASE_DT_Z_LIMIT, DT_Z_LIMIT))
 
     p = command("frame", cmd_frame, "print calibration and eigensystem")
     common(p)
@@ -479,7 +479,8 @@ def build_parser(units):
         dt_opt(p)
         p.add_argument("--no-regime-guard", dest="enforce_regime",
                        action="store_false",
-                       help="demote the chi >= 20 guard to a warning")
+                       help="demote the chi >= %g guard to a warning"
+                            % CHI_REGIME_MIN)
 
     return top
 

@@ -36,6 +36,7 @@ MEV_TO_INV_NS_PHYSICAL = 1519.3
 _GL_NODES = 32
 _NEWTON_MAX_ITER = 50
 _NEWTON_ULPS = 4.0
+_DOMAIN_ULPS = 4  # ulp past u_b that t / tau can round to at t = u_b tau
 
 
 @dataclass(frozen=True)
@@ -67,28 +68,27 @@ class PulseEnvelope:
         if not 0.0 < self.u_b < math.inf:
             raise ConfigurationError("u_b must be positive and finite")
 
-    def _gb(self):
-        return math.exp(-_LN2 * self.u_b * self.u_b)
-
-    def _check_domain(self, u):
-        if np.any(np.abs(u) > self.u_b):
+    def _value_and_derivative(self, u):
+        """f(u) and f'(u) from one exponential, u clipped to [-u_b, u_b]."""
+        u = np.asarray(u, dtype=float)
+        excess = np.max(np.abs(u), initial=0.0) - self.u_b
+        if excess > _DOMAIN_ULPS * math.ulp(self.u_b):
             raise ConfigurationError(
                 "u outside [-u_b, u_b] with u_b = %g" % self.u_b)
+        if excess > 0.0:
+            u = np.clip(u, -self.u_b, self.u_b)
+        g = np.exp(-_LN2 * u * u)
+        gb = math.exp(-_LN2 * self.u_b * self.u_b)
+        return (g - gb) / (1.0 - gb), -2.0 * _LN2 * u * g / (1.0 - gb)
 
     def value(self, u):
         """Envelope f(u); scalar in, scalar out; array in, array out."""
-        u = np.asarray(u, dtype=float)
-        self._check_domain(u)
-        gb = self._gb()
-        out = (np.exp(-_LN2 * u * u) - gb) / (1.0 - gb)
+        out = self._value_and_derivative(u)[0]
         return float(out) if out.ndim == 0 else out
 
     def derivative(self, u):
         """Analytic f'(u) on the same domain."""
-        u = np.asarray(u, dtype=float)
-        self._check_domain(u)
-        gb = self._gb()
-        out = -2.0 * _LN2 * u * np.exp(-_LN2 * u * u) / (1.0 - gb)
+        out = self._value_and_derivative(u)[1]
         return float(out) if out.ndim == 0 else out
 
 
@@ -377,21 +377,17 @@ class DriveConfig:
     def t_final(self):
         return self.envelope.u_b * self.tau
 
-    def omega(self, t):
-        """Total Rabi frequency Omega(t) [ns^-1]."""
-        return self.omega_peak * self.envelope.value(t / self.tau)
-
-    def rabi_frequencies(self, t):
-        """(Omega_1, Omega_2) at time t [ns^-1]."""
-        om = self.omega(t)
+    def _rabi_frequencies(self, t):
+        """(Omega_1, Omega_2) = Omega(t) (cos beta, sin beta) [ns^-1]."""
+        om = self.omega_peak * self.envelope.value(t / self.tau)
         return om * math.cos(self.beta), om * math.sin(self.beta)
 
     def hamiltonian_at(self, t):
-        o1, o2 = self.rabi_frequencies(t)
+        o1, o2 = self._rabi_frequencies(t)
         return hamiltonian(o1, o2, self.detuning, self.alpha)
 
     def eigensystem_at(self, t):
-        o1, o2 = self.rabi_frequencies(t)
+        o1, o2 = self._rabi_frequencies(t)
         return eigensystem(o1, o2, self.detuning, self.alpha, beta=self.beta)
 
     def rotation_angle(self):

@@ -171,11 +171,11 @@ def _generators(drive, decay):
 
     Built by applying the Hamiltonian-plus-dissipator map to the
     Hermitian basis; A1 is the coherent part of the envelope-scaled
-    coupling, A0 the bare detuning plus the dissipator.
+    coupling, A0 the bare detuning plus the dissipator.  The coupling is
+    H(0) - H_bare, exact because f(0) = 1 exactly.
     """
     hbare = hamiltonian(0.0, 0.0, drive.detuning)
-    hk = hamiltonian(drive.omega_peak * math.cos(drive.beta),
-                     drive.omega_peak * math.sin(drive.beta), 0.0, drive.alpha)
+    hk = drive.hamiltonian_at(0.0) - hbare
     out0 = -1j * (hbare @ _BASIS - _BASIS @ hbare)
     out1 = -1j * (hk @ _BASIS - _BASIS @ hk)
     if decay.total > 0.0:
@@ -318,7 +318,7 @@ def _propagate_batch(ops, drive, decay, dt, record_stride=0,
     if record_stride == 0:
         return _from_coords(ys[0, 0])
     times = drive.t_initial + np.concatenate(steps_kept) * h
-    # accumulated rounding must not push t past the envelope domain
+    # the last record is at t_f exactly, where t_i + n h can round off it
     times[-1] = drive.t_final
     return _from_coords(ys[0, 0]), times, np.concatenate(kept)
 

@@ -23,6 +23,7 @@ from .errors import ConfigurationError, NumericalError
 from .lambda_frame import PulseEnvelope, solve_xmax
 
 MAX_PHASE_STEP = 0.1  # rad of S advance per RK4 step
+STEPS_PER_UNIT = 2000  # default RK4 steps per unit of u
 _CHUNK = 2048  # RK4 steps built and multiplied at a time
 
 
@@ -132,8 +133,7 @@ def _integrate(chi, x_max, env, steps_per_unit):
     # envelope on the half-step grid; per chunk, coupling p and phase rate
     # dS/du get one column per point, and S[k] is the phase at step k
     u = np.linspace(-env.u_b, env.u_b, 2 * n + 1)
-    f = env.value(u)[:, None]
-    fp = env.derivative(u)[:, None]
+    f, fp = (v[:, None] for v in env._value_and_derivative(u))
     q = 4.0 * x_max * x_max
     h2 = 0.5 * h
     S = np.zeros((1, chi.size))
@@ -158,7 +158,7 @@ def _integrate(chi, x_max, env, steps_per_unit):
     return 1.0 + ua, -np.conj(ub), S[-1]
 
 
-def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=2000):
+def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=STEPS_PER_UNIT):
     """Integrate the amplitude system over u in [-u_b, u_b].
 
     Fixed-step RK4 from a2 = 1, a3 = 0, sufficient by linearity.  The
@@ -173,8 +173,8 @@ def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=2000):
         Peak ratio from the calibration.
     env : PulseEnvelope, optional
     steps_per_unit : int
-        RK4 steps per unit of u (default 2000).  A step that advances S
-        by more than MAX_PHASE_STEP raises NumericalError.
+        RK4 steps per unit of u (default STEPS_PER_UNIT).  A step that
+        advances S by more than MAX_PHASE_STEP raises NumericalError.
 
     Returns
     -------
@@ -185,7 +185,8 @@ def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=2000):
                                phase=float(phase))
 
 
-def integrate_amplitudes_batch(chi, x_max, env=None, steps_per_unit=2000):
+def integrate_amplitudes_batch(chi, x_max, env=None,
+                               steps_per_unit=STEPS_PER_UNIT):
     """integrate_amplitudes over arrays of (chi, x_max) pairs.
 
     Same grid and recurrence for every point; returns (a2, a3, S) arrays.
@@ -222,7 +223,7 @@ def gate_error_pure(c, d):
     return GateErrorResult(error=min(1.0, err), c=c, d=d, p_star=p)
 
 
-def nonadiabatic_error(angle, chi, env=None, steps_per_unit=2000):
+def nonadiabatic_error(angle, chi, env=None, steps_per_unit=STEPS_PER_UNIT):
     """Gate error at gamma = 0 for a target angle and adiabaticity chi.
 
     Composes solve_xmax -> integrate_amplitudes -> gate_error_pure.  The
@@ -231,8 +232,6 @@ def nonadiabatic_error(angle, chi, env=None, steps_per_unit=2000):
     """
     if not angle > 0.0:
         raise ConfigurationError("angle must be positive")
-    if env is None:
-        env = PulseEnvelope()
     x = solve_xmax(angle, chi, env)
     amps = integrate_amplitudes(chi, x, env, steps_per_unit=steps_per_unit)
     return gate_error_pure(amps.a2, amps.a3)

@@ -18,8 +18,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .lambda_frame import DriveConfig, PulseEnvelope, RotationSpec, solve_xmax
 from .lindblad import (WORST_CASE_DT_Z_LIMIT, DecayConfig, density_from_state,
-                       gate_error_mixed, propagate_master, qubit_state)
-from .nonadiabatic import gate_error_pure, integrate_amplitudes_batch
+                       estimate_spontaneous_error, gate_error_mixed,
+                       propagate_master, qubit_state)
+from .nonadiabatic import (STEPS_PER_UNIT, gate_error_pure,
+                           integrate_amplitudes_batch)
 
 CHI_REGIME_MIN = 20.0
 ESTIMATE_REGIME_MAX = 0.05
@@ -114,7 +116,7 @@ def _metadata(table, env, **fields):
 
 
 def _ratio(err, est):
-    """Exact error over the estimate angle * gamma / detuning; nan at 0."""
+    """Exact error over the estimate Lambda gamma / Delta; nan at 0."""
     return err / est if est > 0.0 else math.nan
 
 
@@ -145,7 +147,7 @@ def sweep_xmax_vs_chi(angle, chi_values, env=None):
 
 
 def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
-                       env=None, steps_per_unit=2000, dt=None,
+                       env=None, steps_per_unit=STEPS_PER_UNIT, dt=None,
                        alpha=0.0, beta=math.pi / 4):
     """Gate error versus chi for one or more target angles.
 
@@ -158,6 +160,8 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
         env = PulseEnvelope()
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     chi_values = np.asarray(chi_values, dtype=float)
+    if angles.size == 0 or chi_values.size == 0:
+        raise ConfigurationError("need at least one angle and one chi value")
     if np.any(chi_values <= 0.0):
         raise ConfigurationError("chi values must be positive")
 
@@ -193,8 +197,8 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
     rows = []
     for angle in angles.tolist():
         target = RotationSpec.from_angles(angle, alpha, beta)
-        est = angle * decay.total / detuning
         xs = solve_xmax(angle, chi_values, env)
+        est = estimate_spontaneous_error(angle, decay.total, detuning)
         for chi, x in zip(chi_values.tolist(), xs.tolist()):
             tau = chi / detuning
             drive = DriveConfig(detuning=detuning, tau=tau, x_max=x,
@@ -221,14 +225,17 @@ def _decay_grid(table, columns, angle, tau, detunings, gammas, prefactor,
         env = PulseEnvelope()
     detunings = np.asarray(detunings, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
+    if detunings.size == 0 or gammas.size == 0:
+        raise ConfigurationError("need at least one detuning and one gamma")
     if np.any(detunings <= 0.0):
         raise ConfigurationError("detunings must be positive")
     if np.any(gammas < 0.0):
         raise ConfigurationError("gammas must be >= 0")
     if not tau > 0.0:
         raise ConfigurationError("tau must be positive")
+    DecayConfig(prefactor=prefactor)  # rejects a bad prefactor before any work
 
-    worst = angle * float(np.max(gammas)) / float(np.min(detunings))
+    worst = estimate_spontaneous_error(angle, gammas.max(), detunings.min())
     if worst > estimate_max + 1e-12:
         _out_of_regime("estimated error %.3g beyond the percent-level "
                        "regime (<= %g)" % (worst, estimate_max),
@@ -251,7 +258,7 @@ def _decay_grid(table, columns, angle, tau, detunings, gammas, prefactor,
             decay = DecayConfig(gamma0=0.5 * gamma, gamma1=0.5 * gamma,
                                 prefactor=prefactor)
             err = gate_error_mixed(drive, decay, target=target, dt=dt)
-            est = angle * gamma / det
+            est = estimate_spontaneous_error(angle, gamma, det)
             frac = floor / est if est > 0.0 else math.inf
             cells = {"detuning": det, "gamma": gamma, "error": err,
                      "error_floor": floor, "estimate": est,

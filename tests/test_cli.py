@@ -1,5 +1,6 @@
 """Command-line parsing, exit codes and CSV round-trips."""
 
+import inspect
 import math
 import os
 import shlex
@@ -11,11 +12,16 @@ import pytest
 
 import ramansim.cli
 from ramansim import (ConfigurationError, DecayConfig, DriveConfig,
-                      PhysicalUnits, RotationSpec, gate_error_mixed,
-                      nonadiabatic_error, solve_xmax)
+                      PhysicalUnits, PulseEnvelope, RotationSpec,
+                      gate_error_mixed, integrate_amplitudes,
+                      integrate_amplitudes_batch, nonadiabatic_error,
+                      solve_xmax, sweep_error_vs_chi)
 from ramansim.cli import (make_energy_parser, make_list_parser, parse_angle,
                           parse_initial, parse_rate, parse_time, run)
-from ramansim.sweeps import sweep_error_vs_delta, sweep_error_vs_gamma
+from ramansim.lindblad import DT_Z_LIMIT, WORST_CASE_DT_Z_LIMIT
+from ramansim.nonadiabatic import STEPS_PER_UNIT
+from ramansim.sweeps import (CHI_REGIME_MIN, sweep_error_vs_delta,
+                             sweep_error_vs_gamma)
 
 ROUNDED = PhysicalUnits(mev_to_inv_ns=1500.0)
 
@@ -304,6 +310,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:" if code == 2 else "numeric failure")
 
+    @pytest.mark.parametrize("line", [
+        "trace --angle pi --delta 1meV --tau 12ps --gamma0 1ns^-1 "
+        "--gamma1 1ns^-1",
+        "trace --angle pi --delta 1meV --chi 18",
+    ])
+    def test_trace_at_rounding_gate_time(self, line, tmp_path, capsys):
+        # (u_b tau) / tau rounds one ulp past u_b at these gate times
+        out = tmp_path / "t.csv"
+        assert run(shlex.split(line) + ["-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[-1].startswith("0.036,")
+
+    @pytest.mark.parametrize("beta", ["6.5", "2"])
+    def test_frame_checks_beta(self, beta, capsys):
+        # the same check as gate and trace apply through DriveConfig
+        assert run(["frame", "--angle", "pi", "--chi", "15", "--beta",
+                    beta]) == 2
+        assert (capsys.readouterr().err
+                == "error: beta must lie in [0, pi/2]\n")
+
     def test_frame_output(self, capsys):
         rc = run(["frame", "--angle", "pi", "--chi", "15"])
         assert rc == 0
@@ -349,6 +375,59 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestDefaults:
+    """Each CLI default and quoted limit is the library's own value."""
+
+    def help_text(self, subcommand, capsys):
+        assert run([subcommand, "--help"]) == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_ub_default(self):
+        args = ramansim.cli.build_parser(ROUNDED).parse_args(
+            ["frame", "--angle", "pi", "--chi", "15"])
+        assert args.ub == PulseEnvelope().u_b
+
+    def test_prefactor_default(self):
+        args = ramansim.cli.build_parser(ROUNDED).parse_args(
+            ["gate", "--angle", "pi", "--chi", "15"])
+        assert args.prefactor == DecayConfig().prefactor
+
+    @pytest.mark.parametrize("subcommand", ["gate", "trace", "sweep-chi",
+                                            "ratio-grid"])
+    def test_dt_help_quotes_step_limits(self, subcommand, capsys):
+        text = self.help_text(subcommand, capsys)
+        assert ("defaults to %g/Z_max for worst-case errors and %g/Z_max "
+                "for traces" % (WORST_CASE_DT_Z_LIMIT, DT_Z_LIMIT)) in text
+
+    def test_regime_guard_help_quotes_chi_min(self, capsys):
+        text = self.help_text("sweep-delta", capsys)
+        assert "demote the chi >= %g guard" % CHI_REGIME_MIN in text
+
+    def test_amplitude_step_default(self, capsys):
+        for fn in (integrate_amplitudes, integrate_amplitudes_batch,
+                   nonadiabatic_error, sweep_error_vs_chi):
+            default = inspect.signature(fn).parameters["steps_per_unit"]
+            assert default.default == STEPS_PER_UNIT
+        argv = ["gate", "--angle", "pi", "--chi", "21"]
+        assert run(argv) == 0
+        implicit = capsys.readouterr().out
+        assert run(argv + ["--steps-per-unit", str(STEPS_PER_UNIT)]) == 0
+        assert capsys.readouterr().out == implicit
+
+    @pytest.mark.parametrize("argv", [
+        ["gate", "--angle", "pi", "--delta", "1meV", "--tau", "13.3ps",
+         "--gamma0", "5ns^-1"],
+        ["trace", "--angle", "pi", "--delta", "1meV", "--tau", "13.3ps",
+         "--gamma0", "5ns^-1"],
+        ["ratio-grid", "--angle", "pi", "--tau", "14ps", "--delta", "2meV",
+         "--gamma", "4ns^-1"],
+    ])
+    def test_prefactor_rule_is_decay_configs(self, argv, capsys):
+        assert run(argv + ["--prefactor", "0.7"]) == 2
+        assert capsys.readouterr().err == (
+            "error: prefactor must be 1/2 or 1\n")
 
 
 class TestCsvOutput:

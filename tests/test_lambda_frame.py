@@ -53,6 +53,14 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError):
             ENV.value(np.array([0.0, 4.0]))
 
+    def test_ulp_past_boundary_clipped(self):
+        # t / tau at t = u_b tau can round one ulp past u_b
+        assert ENV.value(np.nextafter(3.0, 4.0)) == 0.0
+        assert ENV.value(np.nextafter(-3.0, -4.0)) == 0.0
+        assert ENV.derivative(np.nextafter(3.0, 4.0)) == ENV.derivative(3.0)
+        with pytest.raises(ConfigurationError):
+            ENV.value(3.0001)
+
     def test_derivative_matches_finite_difference(self):
         h = 1e-6
         for u in (-2.5, -1.0, -0.3, 0.0, 0.7, 1.9, 2.9):
@@ -343,7 +351,8 @@ class TestDriveConfig:
         drive = DriveConfig(detuning=1500.0, tau=0.01, x_max=0.4,
                             beta=math.pi / 3)
         for t in (-0.02, -0.004, 0.011):
-            o1, o2 = drive.rabi_frequencies(t)
+            hm = drive.hamiltonian_at(t)
+            o1, o2 = hm[0, 2].real, hm[1, 2].real
             assert o2 == pytest.approx(o1 * math.tan(math.pi / 3), rel=1e-12)
 
     def test_for_rotation_round_trip(self):
@@ -351,6 +360,14 @@ class TestDriveConfig:
         assert drive.rotation_angle() == pytest.approx(math.pi / 2, abs=1e-8)
         spec = drive.rotation()
         assert spec.angle == pytest.approx(math.pi / 2, abs=1e-8)
+
+    def test_pulse_ends_inside_the_envelope(self):
+        # (u_b tau) / tau rounds past u_b for 82 of these gate times
+        for tenth_ps in range(10, 1000):
+            drive = DriveConfig(detuning=1500.0, tau=tenth_ps / 10 * 1e-3,
+                                x_max=0.4)
+            drive.eigensystem_at(drive.t_initial)
+            drive.eigensystem_at(drive.t_final)
 
     def test_eigensystem_at_respects_beta(self):
         drive = DriveConfig(detuning=1500.0, tau=0.01, x_max=0.4, beta=0.2)

@@ -129,6 +129,24 @@ class TestSweepErrorVsChi:
         assert math.isnan(row["ratio"])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sweep_error_vs_chi(math.pi, []),
+    lambda: sweep_error_vs_chi([], [20.0]),
+    lambda: sweep_error_vs_chi([], [20.0], decay=DecayConfig(gamma0=2.0),
+                               detuning=1500.0),
+    lambda: sweep_error_vs_gamma([], [2.0], math.pi, 0.014),
+    lambda: sweep_error_vs_gamma([2.0], [], math.pi, 0.014),
+    lambda: sweep_error_vs_delta([2.0], [], math.pi, 0.014),
+    lambda: ratio_grid([2.0], [], math.pi, 0.014),
+    lambda: ratio_grid([], [3000.0], math.pi, 0.014),
+], ids=["chi-no-chi", "chi-no-angles", "chi-decay-no-angles",
+        "gamma-no-detunings", "gamma-no-gammas", "delta-no-detunings",
+        "ratio-no-detunings", "ratio-no-gammas"])
+def test_empty_input_rejected(call):
+    with pytest.raises(ConfigurationError, match="need at least one"):
+        call()
+
+
 class TestCalibratesOnce:
     """Each sweep calibrates all its chi (or detuning) values in one call."""
 
