@@ -9,11 +9,11 @@ gate errors, sweep tables and time traces.
 """
 
 from .errors import ConfigurationError, NumericalError
-from .lambda_frame import (MEV_TO_INV_NS_PHYSICAL, MEV_TO_INV_NS_ROUNDED,
-                           AdiabaticEigensystem, DriveConfig, PhysicalUnits,
-                           PulseEnvelope, RotationSpec, eigensystem,
-                           hamiltonian, rotation_angle, rotation_axis,
-                           solve_xmax)
+from .lambda_frame import (DEFAULT_BETA, MEV_TO_INV_NS_PHYSICAL,
+                           MEV_TO_INV_NS_ROUNDED, AdiabaticEigensystem,
+                           DriveConfig, PhysicalUnits, PulseEnvelope,
+                           RotationSpec, eigensystem, hamiltonian,
+                           rotation_angle, rotation_axis, solve_xmax)
 from .lindblad import (DecayConfig, TraceRecord, adiabatic_populations,
                        density_from_state, estimate_spontaneous_error,
                        gate_error_mixed, propagate_master, purity,
@@ -32,6 +32,7 @@ __all__ = [
     "AdiabaticAmplitudes",
     "AdiabaticEigensystem",
     "ConfigurationError",
+    "DEFAULT_BETA",
     "DecayConfig",
     "DriveConfig",
     "FitResult",

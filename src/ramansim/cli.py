@@ -23,13 +23,15 @@ import sys
 import tempfile
 
 from .errors import ConfigurationError, NumericalError
-from .lambda_frame import (MEV_TO_INV_NS_PHYSICAL, DriveConfig, PhysicalUnits,
-                           PulseEnvelope, RotationSpec, solve_xmax)
+from .lambda_frame import (DEFAULT_BETA, MEV_TO_INV_NS_PHYSICAL, DriveConfig,
+                           PhysicalUnits, PulseEnvelope, RotationSpec,
+                           solve_xmax)
 from .lindblad import (DT_Z_LIMIT, WORST_CASE_DT_Z_LIMIT, DecayConfig,
                        _worst_case, density_from_state,
                        estimate_spontaneous_error, gate_error_mixed,
                        qubit_state)
-from .nonadiabatic import gate_error_pure, integrate_amplitudes
+from .nonadiabatic import (STEPS_PER_UNIT, gate_error_pure,
+                           integrate_amplitudes)
 from .sweeps import (CHI_REGIME_MIN, ratio_grid, records_to_table,
                      sweep_error_vs_chi, sweep_error_vs_delta,
                      sweep_error_vs_gamma, sweep_xmax_vs_chi, trace_run)
@@ -384,7 +386,7 @@ def build_parser(units):
                            help="target rotation angle (pi forms ok)")
         if need_axis:
             p.add_argument("--alpha", type=angle, default=0.0)
-            p.add_argument("--beta", type=angle, default=math.pi / 4)
+            p.add_argument("--beta", type=angle, default=DEFAULT_BETA)
         p.add_argument("--ub", type=float, default=PulseEnvelope().u_b,
                        help="envelope truncation halfwidth u_b")
 
@@ -411,7 +413,8 @@ def build_parser(units):
 
     def steps_opt(p):
         p.add_argument("--steps-per-unit", type=int,
-                       help="amplitude RK4 steps per unit of u (no decay)")
+                       help="amplitude Magnus steps per unit of u, default %d "
+                            "(no decay)" % STEPS_PER_UNIT)
 
     def dt_opt(p):
         p.add_argument("--dt", type=time,

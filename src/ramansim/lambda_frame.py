@@ -31,9 +31,18 @@ _LN2 = math.log(2.0)
 MEV_TO_INV_NS_ROUNDED = 1500.0
 MEV_TO_INV_NS_PHYSICAL = 1519.3
 
-# Gauss-Legendre nodes on the even half [0, u_b] of the pulse, and the
-# Newton iteration cap and stopping step (in ulp of x) for solve_xmax
+# default mixing angle: Omega_1 = Omega_2, rotation axis in the xy-plane
+DEFAULT_BETA = math.pi / 4
+
+# Gauss-Legendre nodes per panel and the widest panel on the even half
+# [0, u_b] of the pulse, the u beyond which exp(-u^2 ln 2) underflows to 0
+# and so does f, the relative gap allowed between the rule and one on
+# panels half as wide, and the Newton iteration cap and stopping step (in
+# ulp of x) for solve_xmax
 _GL_NODES = 32
+_PANEL_WIDTH = 3.0
+_SUPPORT = 33.0
+_RULE_RTOL = 1e-10
 _NEWTON_MAX_ITER = 50
 _NEWTON_ULPS = 4.0
 _DOMAIN_ULPS = 4  # ulp past u_b that t / tau can round to at t = u_b tau
@@ -198,7 +207,7 @@ class RotationSpec:
         object.__setattr__(self, "axis", axis)
 
     @classmethod
-    def from_angles(cls, angle, alpha=0.0, beta=math.pi / 4):
+    def from_angles(cls, angle, alpha=0.0, beta=DEFAULT_BETA):
         return cls(angle=angle, axis=rotation_axis(alpha, beta))
 
     def unitary(self):
@@ -226,11 +235,39 @@ def _gauss_legendre(n):
     return t, w
 
 
-def _envelope_rule(env):
-    """Weights on [0, u_b] and q = 4 f^2 at the Gauss-Legendre nodes."""
-    t, w = _gauss_legendre(_GL_NODES)
-    f = env.value(env.u_b * t)
-    return env.u_b * w, 4.0 * f * f
+def _envelope_rule(env, panel_width=_PANEL_WIDTH):
+    """Weights on [0, u_b] and q = 4 f^2 at composite Gauss-Legendre nodes.
+
+    The support [0, min(u_b, _SUPPORT)] is cut into the fewest equal
+    panels no wider than panel_width, with _GL_NODES nodes each; for
+    u_b <= panel_width the rule is the single-panel one, node for node.
+    """
+    return _composite_rule(env, panel_width, _GL_NODES)
+
+
+@functools.lru_cache(maxsize=16)
+def _composite_rule(env, panel_width, nodes):
+    # cached: every calibration of one envelope reads the same two rules
+    t, w = _gauss_legendre(nodes)
+    span = min(env.u_b, _SUPPORT)
+    panels = math.ceil(span / panel_width)
+    width = span / panels
+    f = env.value((width * np.arange(panels)[:, None] + width * t).ravel())
+    w, q = np.tile(width * w, panels), 4.0 * f * f
+    w.flags.writeable = q.flags.writeable = False
+    return w, q
+
+
+def _check_rule(x, h, env):
+    """Raise NumericalError unless h(x) agrees with a rule on panels half
+    as wide to _RULE_RTOL relative."""
+    ref, _ = _half_integral(x, *_envelope_rule(env, 0.5 * _PANEL_WIDTH))
+    gap = np.abs(h - ref)
+    if not np.all(gap <= _RULE_RTOL * ref):
+        raise NumericalError(
+            "calibration quadrature unresolved at u_b = %g: %.2g relative "
+            "to a rule on half-width panels"
+            % (env.u_b, np.max(gap / np.maximum(ref, np.finfo(float).tiny))))
 
 
 def _half_integral(x, w, q):
@@ -253,7 +290,8 @@ def rotation_angle(chi, x_max, env=None):
 
     Lambda = (chi/2) * int_{-u_b}^{u_b} (sqrt(1 + 4 x_max^2 f(u)^2) - 1) du.
     The integrand is even, so this is chi times the integral over
-    [0, u_b], taken with a fixed 32-node Gauss-Legendre rule.
+    [0, u_b], taken with composite 32-node Gauss-Legendre panels and
+    checked against panels half as wide (NumericalError when they part).
     """
     if not (math.isfinite(chi) and math.isfinite(x_max)):
         raise ConfigurationError("chi and x_max must be finite")
@@ -263,7 +301,9 @@ def rotation_angle(chi, x_max, env=None):
         raise ConfigurationError("x_max must be >= 0")
     if env is None:
         env = PulseEnvelope()
-    h, _ = _half_integral(np.array([float(x_max)]), *_envelope_rule(env))
+    x = np.array([float(x_max)])
+    h, _ = _half_integral(x, *_envelope_rule(env))
+    _check_rule(x, h, env)
     return chi * float(h[0])
 
 
@@ -277,6 +317,8 @@ def solve_xmax(angle, chi, env=None):
     below the solution, the first step overshoots and the rest descend
     monotonically.  A point stops once its step is within a few ulp of
     x.  The result depends on (angle, chi) only through their ratio.
+    At the solution, a rule on panels half as wide must give h(x) to
+    _RULE_RTOL relative.
 
     Raises
     ------
@@ -284,7 +326,8 @@ def solve_xmax(angle, chi, env=None):
         If an angle is negative or not finite, or a chi not positive and
         finite.
     NumericalError
-        If an iterate is not finite or Newton exceeds its iteration cap.
+        If an iterate is not finite, Newton exceeds its iteration cap or
+        the refined rule disagrees at the solution.
     """
     angle, chi = np.broadcast_arrays(np.asarray(angle, dtype=float),
                                      np.asarray(chi, dtype=float))
@@ -315,6 +358,7 @@ def solve_xmax(angle, chi, env=None):
                 break
         else:
             raise NumericalError("Newton iteration for x_max did not converge")
+    _check_rule(x, target, env)
     x = x.reshape(angle.shape)
     return float(x) if x.ndim == 0 else x
 
@@ -343,7 +387,7 @@ class DriveConfig:
     tau: float
     x_max: float
     alpha: float = 0.0
-    beta: float = math.pi / 4
+    beta: float = DEFAULT_BETA
     envelope: PulseEnvelope = PulseEnvelope()
 
     def __post_init__(self):
@@ -355,6 +399,8 @@ class DriveConfig:
             raise ConfigurationError("x_max must be >= 0")
         if not 0.0 <= self.beta <= 0.5 * math.pi:
             raise ConfigurationError("beta must lie in [0, pi/2]")
+        if not math.isfinite(self.alpha):
+            raise ConfigurationError("alpha must be finite")
 
     @property
     def chi(self):
@@ -400,7 +446,7 @@ class DriveConfig:
 
     @classmethod
     def for_rotation(cls, angle, detuning, tau, alpha=0.0,
-                     beta=math.pi / 4, envelope=None):
+                     beta=DEFAULT_BETA, envelope=None):
         """Calibrate x_max so the drive realizes the requested angle."""
         env = PulseEnvelope() if envelope is None else envelope
         x = solve_xmax(angle, detuning * tau, env)

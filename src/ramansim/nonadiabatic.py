@@ -15,6 +15,7 @@ gate does wrong at gamma = 0 is encoded in the final (a2, a3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,10 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .lambda_frame import PulseEnvelope, solve_xmax
 
-MAX_PHASE_STEP = 0.1  # rad of S advance per RK4 step
-STEPS_PER_UNIT = 2000  # default RK4 steps per unit of u
-_CHUNK = 2048  # RK4 steps built and multiplied at a time
+MAX_PHASE_STEP = 0.25  # rad: largest |omega| of one Magnus step
+STEPS_PER_UNIT = 800  # default Magnus steps per unit of u
+_CHUNK = 1024  # Magnus steps built and multiplied at a time
+_GAUSS = math.sqrt(3.0) / 6.0  # Gauss nodes at (1/2 -+ _GAUSS) h
 
 
 @dataclass(frozen=True)
@@ -50,36 +52,15 @@ class GateErrorResult:
     p_star: float
 
 
-def _rk4_deviation(z1, z2, z3, z4, h):
-    """D = M - I of one RK4 step on (a2, a3), as the quaternion (a, b).
-
-    The generator at each stage is [[0, z], [-z*, 0]], so every stage
-    product, step and deviation has the form [[a, b], [-b*, a*]] and is
-    held as its first row (a, b) (Hairer, Lubich & Wanner, Geometric
-    Numerical Integration, ch. IV).  k1 = (0, z1) and
-    k_{i+1} = (0, z_{i+1})(I + c_i h k_i) in closed form.
-
-    Every complex product keeps its temporary operand on the left.  For
-    large temporaries numpy evaluates x * tmp in place as tmp *= x, and
-    with fused multiply-adds the two operand orders round differently,
-    so a batch would no longer equal its points run one at a time.
-    """
-    h2 = 0.5 * h
-    k2a = np.conj(-h2 * z1) * z2
-    k3a = np.conj(-h2 * z2) * z3
-    k3b = np.conj(1.0 + h2 * k2a) * z3
-    k4a = np.conj(-h * k3b) * z4
-    k4b = np.conj(1.0 + h * k3a) * z4
-    h6 = h / 6.0
-    return h6 * (2.0 * (k2a + k3a) + k4a), h6 * (z1 + 2.0 * (z2 + k3b) + k4b)
-
-
 def _compose(xa, xb, ya, yb):
-    # (I + x)(I + y) - I for quaternions x = (xa, xb), y = (ya, yb).  Steps
-    # and their products are held as their deviation from I because
-    # rounding them on the grid at 1 loses the low digits of D: it drains
-    # |a2|^2 + |a3|^2 by about 1e-13 over 12 000 steps.  Temporaries go on
-    # the left of complex products (_rk4_deviation)
+    # (I + x)(I + y) - I for quaternions x = (xa, xb), y = (ya, yb), each
+    # the first row (a, b) of [[a, b], [-b*, a*]].  Steps and products are
+    # held as their deviation from I because rounding them on the grid at
+    # 1 loses the low digits of a step and drains |a2|^2 + |a3|^2.  Every
+    # complex product keeps its temporary operand on the left: for large
+    # temporaries numpy evaluates x * tmp in place as tmp *= x, and with
+    # fused multiply-adds the two operand orders round differently, so a
+    # batch would no longer equal its points run one at a time
     return (xa + ya + (xa * ya - np.conj(yb) * xb),
             xb + yb + (xa * yb + np.conj(ya) * xb))
 
@@ -96,19 +77,38 @@ def _chain_product(a, b):
     return a[0], b[0]
 
 
-def _integrate(chi, x_max, env, steps_per_unit):
-    """RK4 over u in [-u_b, u_b] for paired (chi, x_max) points.
+def _magnus_deviation(w1, w2, w3):
+    """exp(i w.sigma) - I as the quaternion (a, b), and |w|.
 
-    S does not depend on the amplitudes, so its RK4 recurrence (Simpson's
-    rule on dS/du) is summed first and each step on the linear pair
-    (a2, a3) becomes one matrix I + D, with D a quaternion (a, b)
-    (_rk4_deviation).  Only u, f and f' live on the whole grid; p, dS/du
-    and S are built _CHUNK steps at a time, S carried across chunks by
-    the same sequential sum.  The four stage phase factors of a step come
-    from three exponentials, e^{-iS_k} and the half-step advances at the
-    step's start and middle.  Each chunk's product is formed pairwise
-    and composed into the propagator, itself held as a deviation u from
-    I, so a2 = 1 + u_a and a3 = -conj(u_b).
+    exp(i w.sigma) = (cos|w| + i w3 sinc, (w2 + i w1) sinc) with
+    sinc = sin|w| / |w|, and cos|w| - 1 = -2 sin^2(|w|/2).
+    """
+    w = np.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+    sh, ch = np.sin(0.5 * w), np.cos(0.5 * w)
+    sinc = 2.0 * sh * ch / w
+    da = np.empty(w.shape, dtype=complex)
+    db = np.empty(w.shape, dtype=complex)
+    da.real, da.imag = -2.0 * sh * sh, w3 * sinc
+    db.real, db.imag = w2 * sinc, w1 * sinc
+    return da, db, w
+
+
+def _integrate(chi, x_max, env, steps_per_unit):
+    """Magnus-4 over u in [0, u_b] for paired (chi, x_max) points.
+
+    In the co-rotating frame b2 = a2 e^{iS/2}, b3 = a3 e^{-iS/2} the pair
+    obeys b' = G b with G = [[i nu, p], [-p, -i nu]], nu = S'/2: the pure
+    quaternion i g.sigma with g = (0, p, nu), and no phase oscillates.  A
+    step of length h is the two-point Gauss Magnus-4 exponent
+    w = (h/2)(g_A + g_B) - (sqrt(3)/6) h^2 (g_B x g_A), exponentiated in
+    closed form, so every step is exactly unitary (Blanes, Casas, Oteo &
+    Ros, Phys. Rep. 470, 151 (2009)).  nu is even and p odd, so
+    G(-u) = G(u)^T and the mirrored step is the step's transpose: with U+
+    the propagator over [0, u_b], the one over [-u_b, u_b] is U+ U+^T.
+    Only [0, u_b] is marched, _CHUNK steps at a time, each chunk's product
+    formed pairwise and composed into U+, held as a deviation from I.
+    S_f is the same Gauss rule's integral of S' on the march's nodes, and
+    a2 = e^{-iS_f/2}(1 + U_a), a3 = -e^{iS_f/2} conj(U_b).
     """
     chi = np.atleast_1d(np.asarray(chi, dtype=float))
     x_max = np.atleast_1d(np.asarray(x_max, dtype=float))
@@ -121,49 +121,47 @@ def _integrate(chi, x_max, env, steps_per_unit):
         raise ConfigurationError("steps_per_unit must be a positive integer")
     if env is None:
         env = PulseEnvelope()
-    n = int(round(2.0 * env.u_b * steps_per_unit))
-    h = 2.0 * env.u_b / n
-    # the largest phase advance per step over the points
-    peak = float(np.max(chi * np.sqrt(1.0 + 4.0 * x_max * x_max))) * h
-    if peak > MAX_PHASE_STEP:
-        raise NumericalError(
-            "phase advance %.3f rad per step exceeds %.2f; "
-            "increase steps_per_unit" % (peak, MAX_PHASE_STEP))
+    n = max(1, int(round(env.u_b * steps_per_unit)))
+    h = env.u_b / n
 
-    # envelope on the half-step grid; per chunk, coupling p and phase rate
-    # dS/du get one column per point, and S[k] is the phase at step k
-    u = np.linspace(-env.u_b, env.u_b, 2 * n + 1)
-    f, fp = (v[:, None] for v in env._value_and_derivative(u))
     q = 4.0 * x_max * x_max
-    h2 = 0.5 * h
-    S = np.zeros((1, chi.size))
+    h2, h3 = 0.5 * h, _GAUSS * h * h
     ua = ub = np.zeros(chi.size, dtype=complex)
+    w3_sum = np.zeros(chi.size)
     for k0 in range(0, n, _CHUNK):
-        k1 = min(k0 + _CHUNK, n)
-        fc = f[2 * k0:2 * k1 + 1]
-        den = 1.0 + q * fc * fc
-        p = x_max * fp[2 * k0:2 * k1 + 1] / den
-        s = chi * np.sqrt(den)
-        S = np.cumsum(np.concatenate(
-            (S[-1:], (h / 6.0) * (s[0:-1:2] + 4.0 * s[1::2] + s[2::2]))),
-            axis=0)
-        e0 = np.exp(-1j * S[:-1])
-        # e^{-i h/2 s} at each step's start (even) and middle (odd)
-        half = np.exp((-1j * h2) * s[:-1])
-        e0m = e0 * half[1::2]
-        pm = p[1::2]
-        da, db = _rk4_deviation(p[0:-1:2] * e0, pm * (e0 * half[0::2]),
-                                pm * e0m, p[2::2] * (e0m * half[1::2]), h)
+        # envelope at each step's Gauss nodes A and B, interleaved; the
+        # coupling p and nu = S'/2 get one column per point
+        k = np.arange(k0, min(k0 + _CHUNK, n))[:, None]
+        f, fp = (v[:, None] for v in env._value_and_derivative(
+            ((k + [0.5 - _GAUSS, 0.5 + _GAUSS]) * h).ravel()))
+        den = 1.0 + q * f * f
+        p = x_max * fp / den
+        nu = (0.5 * chi) * np.sqrt(den)
+        pa, pb, na, nb = p[0::2], p[1::2], nu[0::2], nu[1::2]
+        w3 = h2 * (na + nb)
+        da, db, w = _magnus_deviation(h3 * (pa * nb - pb * na),
+                                      h2 * (pa + pb), w3)
+        if np.max(w) > MAX_PHASE_STEP:
+            raise NumericalError(
+                "Magnus step angle %.3f rad exceeds %.2f; increase "
+                "steps_per_unit" % (np.max(w), MAX_PHASE_STEP))
+        # summed in sequence, so a point's S_f does not depend on the batch
+        w3_sum = w3_sum + np.cumsum(w3, axis=0)[-1]
         ua, ub = _compose(*_chain_product(da, db), ua, ub)
-    return 1.0 + ua, -np.conj(ub), S[-1]
+    ua, ub = _compose(ua, ub, ua, -np.conj(ub))
+    phase = 4.0 * w3_sum  # S_f = 2 int_0^{u_b} S' du
+    turn = np.exp(-0.5j * phase)
+    # without drive every step is a pure phase, and a2 = 1 exactly
+    a2 = np.where(x_max == 0.0, 1.0, (1.0 + ua) * turn)
+    return a2, -np.conj(ub * turn), phase
 
 
 def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=STEPS_PER_UNIT):
     """Integrate the amplitude system over u in [-u_b, u_b].
 
-    Fixed-step RK4 from a2 = 1, a3 = 0, sufficient by linearity.  The
-    oscillatory phase S is advanced by the RK4 recurrence of its own
-    equation, never accumulated naively.
+    Fixed-step Magnus-4 from a2 = 1, a3 = 0, sufficient by linearity,
+    marched over [0, u_b] only (_integrate).  Every step is exactly
+    unitary, and S is the same Gauss rule's integral of dS/du.
 
     Parameters
     ----------
@@ -173,8 +171,9 @@ def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=STEPS_PER_UNIT):
         Peak ratio from the calibration.
     env : PulseEnvelope, optional
     steps_per_unit : int
-        RK4 steps per unit of u (default STEPS_PER_UNIT).  A step that
-        advances S by more than MAX_PHASE_STEP raises NumericalError.
+        Magnus steps per unit of u (default STEPS_PER_UNIT), step
+        h = u_b / round(u_b * steps_per_unit).  A step whose exponent
+        |omega| exceeds MAX_PHASE_STEP raises NumericalError.
 
     Returns
     -------
@@ -189,7 +188,7 @@ def integrate_amplitudes_batch(chi, x_max, env=None,
                                steps_per_unit=STEPS_PER_UNIT):
     """integrate_amplitudes over arrays of (chi, x_max) pairs.
 
-    Same grid and recurrence for every point; returns (a2, a3, S) arrays.
+    Same grid and steps for every point; returns (a2, a3, S) arrays.
     """
     return _integrate(chi, x_max, env, steps_per_unit)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .lambda_frame import DriveConfig, PulseEnvelope, RotationSpec, solve_xmax
+from .lambda_frame import (DEFAULT_BETA, DriveConfig, PulseEnvelope,
+                           RotationSpec, solve_xmax)
 from .lindblad import (WORST_CASE_DT_Z_LIMIT, DecayConfig, density_from_state,
                        estimate_spontaneous_error, gate_error_mixed,
                        propagate_master, qubit_state)
@@ -148,7 +149,7 @@ def sweep_xmax_vs_chi(angle, chi_values, env=None):
 
 def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
                        env=None, steps_per_unit=STEPS_PER_UNIT, dt=None,
-                       alpha=0.0, beta=math.pi / 4):
+                       alpha=0.0, beta=DEFAULT_BETA):
     """Gate error versus chi for one or more target angles.
 
     Without decay the fast adiabatic-basis path is used and the table
@@ -294,7 +295,7 @@ def _sorted_rows(table):
 
 
 def sweep_error_vs_gamma(detunings, gammas, angle, tau, prefactor=0.5,
-                         env=None, dt=None, alpha=0.0, beta=math.pi / 4,
+                         env=None, dt=None, alpha=0.0, beta=DEFAULT_BETA,
                          enforce_regime=True):
     """Error versus total decay rate at fixed tau, one fit per detuning.
 
@@ -317,7 +318,7 @@ def sweep_error_vs_gamma(detunings, gammas, angle, tau, prefactor=0.5,
 
 
 def sweep_error_vs_delta(gammas, detunings, angle, tau, prefactor=0.5,
-                         env=None, dt=None, alpha=0.0, beta=math.pi / 4,
+                         env=None, dt=None, alpha=0.0, beta=DEFAULT_BETA,
                          enforce_regime=True):
     """Error versus detuning at fixed tau, one inverse fit per gamma.
 
@@ -337,7 +338,7 @@ def sweep_error_vs_delta(gammas, detunings, angle, tau, prefactor=0.5,
 
 
 def ratio_grid(gammas, detunings, angle, tau, prefactor=0.5, env=None,
-               dt=None, alpha=0.0, beta=math.pi / 4, enforce_regime=True):
+               dt=None, alpha=0.0, beta=DEFAULT_BETA, enforce_regime=True):
     """Exact error against the analytic estimate over a (gamma, detuning) grid.
 
     floor_dominated flags rows where the decay-free floor exceeds 10% of

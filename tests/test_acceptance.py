@@ -18,6 +18,7 @@ from ramansim import (DecayConfig, DriveConfig, eigensystem,
                       gate_error_pure, hamiltonian, integrate_amplitudes,
                       integrate_amplitudes_batch, nonadiabatic_error,
                       propagate_master, purity, solve_xmax)
+from ramansim.nonadiabatic import STEPS_PER_UNIT
 
 PI = math.pi
 MEV = 1500.0          # rounded energy conversion, ns^-1 per meV
@@ -54,9 +55,9 @@ def compute_suite(scale):
     """All reported error numbers at one resolution setting.
 
     scale=1 is the shipping resolution; scale=2 halves every integrator
-    step (fixed-step RK4 in u and the master-equation step in t).
+    step (fixed-step Magnus in u and the master-equation step in t).
     """
-    steps = 2000 * scale
+    steps = STEPS_PER_UNIT * scale
     errors = {}
     times = {}
     aux = {"scale": scale, "times": times}

@@ -3,19 +3,21 @@
 import inspect
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import ramansim.cli
-from ramansim import (ConfigurationError, DecayConfig, DriveConfig,
-                      PhysicalUnits, PulseEnvelope, RotationSpec,
+from ramansim import (DEFAULT_BETA, ConfigurationError, DecayConfig,
+                      DriveConfig, PhysicalUnits, PulseEnvelope, RotationSpec,
                       gate_error_mixed, integrate_amplitudes,
                       integrate_amplitudes_batch, nonadiabatic_error,
-                      solve_xmax, sweep_error_vs_chi)
+                      ratio_grid, solve_xmax, sweep_error_vs_chi)
 from ramansim.cli import (make_energy_parser, make_list_parser, parse_angle,
                           parse_initial, parse_rate, parse_time, run)
 from ramansim.lindblad import DT_Z_LIMIT, WORST_CASE_DT_Z_LIMIT
@@ -394,6 +396,19 @@ class TestDefaults:
             ["gate", "--angle", "pi", "--chi", "15"])
         assert args.prefactor == DecayConfig().prefactor
 
+    def test_beta_default(self):
+        assert DEFAULT_BETA == math.pi / 4
+        args = ramansim.cli.build_parser(ROUNDED).parse_args(
+            ["frame", "--angle", "pi", "--chi", "15"])
+        assert args.beta is DEFAULT_BETA
+        assert DriveConfig(detuning=1.0, tau=1.0, x_max=0.0).beta \
+            is DEFAULT_BETA
+        for fn in (RotationSpec.from_angles, DriveConfig.for_rotation,
+                   sweep_error_vs_chi, sweep_error_vs_gamma,
+                   sweep_error_vs_delta, ratio_grid):
+            default = inspect.signature(fn).parameters["beta"].default
+            assert default is DEFAULT_BETA
+
     @pytest.mark.parametrize("subcommand", ["gate", "trace", "sweep-chi",
                                             "ratio-grid"])
     def test_dt_help_quotes_step_limits(self, subcommand, capsys):
@@ -428,6 +443,67 @@ class TestDefaults:
         assert run(argv + ["--prefactor", "0.7"]) == 2
         assert capsys.readouterr().err == (
             "error: prefactor must be 1/2 or 1\n")
+
+
+class TestExtremeInputs:
+
+    def test_wide_envelope_is_calibrated_or_exits_3(self, capsys):
+        # one 32-node panel over [0, 1000] printed x_max = 0.6415 here;
+        # the drive must realise pi, by adaptive quadrature over f's support
+        rc = run(["gate", "--angle", "pi", "--chi", "15", "--ub", "1e3"])
+        assert rc in (0, 3)
+        if rc == 3:
+            return
+        x = float(kv_from_stdout(capsys.readouterr().out)["x_max"])
+        env = PulseEnvelope(u_b=1e3)
+
+        def integrand(u):
+            s = 4.0 * x * x * env.value(u) ** 2
+            return s / (math.sqrt(1.0 + s) + 1.0)
+
+        val, _ = quad(integrand, 0.0, 34.0, epsabs=0.0, epsrel=2e-14,
+                      limit=500)
+        assert 15.0 * val == pytest.approx(math.pi, rel=1e-11)
+
+    def test_seeded_extreme_argv(self, capsys):
+        # every outcome is a result, a configuration error or a numerical
+        # failure, and no result prints a non-finite number; each value is
+        # drawn from the bad pool one time in eight
+        rng = random.Random(41)
+        pools = {
+            "--angle": (("pi", "pi/2", "2pi", "40pi", "1e-9", "1e3"),
+                        ("0", "-1", "nan", "inf")),
+            "--chi": (("1e-9", "1e-3", "0.5", "15", "160", "500", "1e4",
+                       "1e9"), ("0", "-2", "nan", "inf")),
+            "--ub": (("1e-4", "0.5", "3", "12", "50", "1e3"),
+                     ("0", "-1", "nan", "inf")),
+            "--alpha": (("0", "-pi", "1e3"), ("nan", "inf")),
+            "--beta": (("0", "pi/4", "pi/2"), ("-0.1", "pi", "nan")),
+            "--steps-per-unit": (("1", "7", "100", "2000"), ("0", "-3")),
+        }
+
+        def draw(flag):
+            good, bad = pools[flag]
+            return rng.choice(bad if rng.random() < 0.125 else good)
+
+        codes = set()
+        for _ in range(60):
+            cmd = rng.choice(("gate", "frame", "sweep-chi"))
+            argv = [cmd, "--angle", draw("--angle"), "--ub", draw("--ub"),
+                    "--chi", (",".join((draw("--chi"), draw("--chi")))
+                              if cmd == "sweep-chi" else draw("--chi"))]
+            for flag in ("--alpha", "--beta", "--steps-per-unit"):
+                if rng.random() < 0.4 and (cmd, flag) != (
+                        "frame", "--steps-per-unit"):
+                    argv += [flag, draw(flag)]
+            rc = run(argv)
+            out = capsys.readouterr().out.lower().splitlines()
+            assert rc in (0, 2, 3), argv
+            codes.add(rc)
+            values = [line for line in out
+                      if not line.startswith("# command=")]
+            assert not any("nan" in v or "inf" in v for v in values), argv
+        assert codes == {0, 2, 3}
 
 
 class TestCsvOutput:

@@ -293,6 +293,45 @@ class TestSolveXmax:
         assert np.array_equal(solve_xmax(math.pi, chis),
                               [solve_xmax(math.pi, c) for c in chis])
 
+    @pytest.mark.parametrize("u_b", [3.0, 6.0, 12.0, 50.0, 1e9])
+    def test_realised_angle_on_wide_envelopes(self, u_b):
+        # the drive realises its target, by adaptive quadrature over the
+        # envelope's support; one 32-node panel over [0, u_b] missed pi at
+        # chi = 15 by 1.7e-4 relative at u_b = 50; measured 3.2e-14.  The
+        # rule stops where f underflows, so u_b = 1e9 costs no more nodes
+        env = PulseEnvelope(u_b=u_b)
+        for angle, chi in ((math.pi, 15.0), (math.pi / 2, 40.0),
+                           (2.0 * math.pi, 2.0), (4.0 * math.pi, 0.5)):
+            x = solve_xmax(angle, chi, env)
+
+            def integrand(u):
+                s = 4.0 * x * x * env.value(u) ** 2
+                return s / (math.sqrt(1.0 + s) + 1.0)
+
+            val, _ = quad(integrand, 0.0, min(u_b, 34.0), epsabs=0.0,
+                          epsrel=2e-14, limit=500)
+            assert chi * val == pytest.approx(angle, rel=1e-13)
+
+    def test_rule_checked_once_per_call(self, monkeypatch):
+        # one rule for Newton, one refined rule at the solution
+        calls = []
+        rule = lambda_frame._envelope_rule
+
+        def counted(env, *width):
+            calls.append(width)
+            return rule(env, *width)
+
+        monkeypatch.setattr(lambda_frame, "_envelope_rule", counted)
+        solve_xmax(math.pi, np.arange(2.0, 41.0))
+        assert calls == [(), (0.5 * lambda_frame._PANEL_WIDTH,)]
+
+    def test_unresolved_rule_raises(self):
+        # x ~ 5.9e4: the rule and one on half-width panels part by 2.4e-9
+        with pytest.raises(NumericalError, match="half-width panels"):
+            solve_xmax(40.0 * math.pi, 1e-3)
+        with pytest.raises(NumericalError, match="half-width panels"):
+            rotation_angle(1e-3, 5.9e4)
+
     def test_newton_cap_raises(self, monkeypatch):
         monkeypatch.setattr(lambda_frame, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(NumericalError):
@@ -394,3 +433,5 @@ class TestDriveConfig:
             DriveConfig(detuning=1500.0, tau=0.01, x_max=-0.4)
         with pytest.raises(ConfigurationError):
             DriveConfig(detuning=1500.0, tau=0.01, x_max=0.4, beta=2.0)
+        with pytest.raises(ConfigurationError):
+            DriveConfig(detuning=1500.0, tau=0.01, x_max=0.4, alpha=math.nan)

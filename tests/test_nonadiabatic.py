@@ -1,5 +1,6 @@
 """Amplitude integration and worst-case pure-state gate error."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -7,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import integrate_bare_schrodinger
+from scipy.linalg import expm
 
 from ramansim import (ConfigurationError, NumericalError, PulseEnvelope,
                       gate_error_pure, integrate_amplitudes,
-                      integrate_amplitudes_batch, lindblad, nonadiabatic,
+                      integrate_amplitudes_batch, nonadiabatic,
                       nonadiabatic_error, solve_xmax)
 
 # frozen from an independent adaptive integration of the same system
@@ -29,11 +31,12 @@ FROZEN_RK4 = (
     (5.0, 1.132441765704698, 0.997447742816182+0.058421168381872605j,
      -0.02669324601665161-0.031183939021444913j, 42.56637061436093),
 )
-# u_b = 2.5 at 301 steps per unit: n = 1505, odd and not a chunk multiple
-FROZEN_RK4_ODD = (5.0, 0.7349874207980065,
-                  0.9989595103953564+0.04558620007000196j,
-                  -8.8855359163288e-05-0.0013368092291520365j,
-                  31.28318530718255)
+# from the Magnus kernel at u_b = 2.5 and 842 steps per unit: n = 2105
+# steps, odd and not a chunk multiple; 3.2e-14 from its 16 000-step value
+FROZEN_MAGNUS_ODD = (5.0, 0.7349874207980065,
+                     0.9989595103959217+0.04558620005389001j,
+                     -8.885535916638537e-05-0.0013368092291533515j,
+                     31.28318530718262)
 # from the previous vectorized loop, one call over both points
 FROZEN_RK4_BATCH = (
     (8.0, 0.37738068816497616, 0.9999169709659889+0.012848460797242382j,
@@ -89,9 +92,9 @@ class TestIntegrateAmplitudes:
             _assert_frozen(amps.a2, amps.a3, amps.phase, row)
 
     def test_matches_frozen_recurrence_odd_step_count(self):
-        row = FROZEN_RK4_ODD
+        row = FROZEN_MAGNUS_ODD
         amps = integrate_amplitudes(row[0], row[1], PulseEnvelope(u_b=2.5),
-                                    steps_per_unit=301)
+                                    steps_per_unit=842)
         _assert_frozen(amps.a2, amps.a3, amps.phase, row)
 
     def test_rejects_bad_inputs(self):
@@ -247,37 +250,74 @@ class TestBatchIntegration:
         assert a3[0] == 0.0
 
 
-def _stage(z):
-    # the 2x2 generator [[0, z], [-z*, 0]] of (a2, a3) at one RK4 stage
-    a = np.zeros(z.shape + (2, 2), dtype=complex)
-    a[..., 0, 1] = z
-    a[..., 1, 0] = -np.conj(z)
-    return a
+def _full_march(chi, x_max, steps_per_unit):
+    # the same Gauss Magnus-4 steps over all of [-u_b, u_b], no mirror:
+    # the propagator's first row (1 + U_a, U_b) and S_f
+    env = PulseEnvelope()
+    n = int(round(2.0 * env.u_b * steps_per_unit))
+    h = 2.0 * env.u_b / n
+    g = math.sqrt(3.0) / 6.0
+    u = -env.u_b + (np.arange(n)[:, None] + [0.5 - g, 0.5 + g]) * h
+    f, fp = env.value(u), env.derivative(u)
+    den = 1.0 + 4.0 * x_max * x_max * f * f
+    p, nu = x_max * fp / den, 0.5 * chi * np.sqrt(den)
+    da, db, _ = nonadiabatic._magnus_deviation(
+        g * h * h * (p[:, 0] * nu[:, 1] - p[:, 1] * nu[:, 0]),
+        0.5 * h * (p[:, 0] + p[:, 1]), 0.5 * h * (nu[:, 0] + nu[:, 1]))
+    ua, ub = nonadiabatic._chain_product(da, db)
+    return 1.0 + ua, ub, h * math.fsum(nu.ravel())
 
 
 class TestQuaternionKernel:
 
-    def test_deviation_matches_matrix_rk4(self):
-        # measured gap 1.4e-17 on |D| up to 0.13
+    def test_step_matches_expm(self):
+        # exp(i w.sigma) - I in closed form against scipy's expm of the
+        # 2x2 generator; measured gap 5.6e-17 for |w| <= 0.1, the range of
+        # every step at the default for chi up to about 150.  Towards the
+        # guard expm's own rounding grows: up to 0.25 the gap is 8.3e-17
+        # here and reached 1.1e-16 on a 500-point draw, while a 200-bit
+        # evaluation puts the closed form within 3.9e-17 of the exact
+        # exponential
         rng = np.random.default_rng(3)
-        z = [rng.uniform(0.0, 3.0, 500)
-             * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 500))
-             for _ in range(4)]
-        h = 0.05
-        da, db = nonadiabatic._rk4_deviation(*z, h)
-        d = lindblad._rk4_deltas(*(_stage(x) for x in z), h)
-        assert np.max(np.abs(d[:, 0, 0] - da)) < 5e-17
-        assert np.max(np.abs(d[:, 0, 1] - db)) < 5e-17
-        assert np.max(np.abs(d[:, 1, 0] + np.conj(db))) < 5e-17
-        assert np.max(np.abs(d[:, 1, 1] - np.conj(da))) < 5e-17
+        for top, tol in ((0.1, 1e-16), (nonadiabatic.MAX_PHASE_STEP, 2e-16)):
+            w = rng.normal(size=(300, 3))
+            w *= (rng.uniform(0.0, top, 300)
+                  / np.linalg.norm(w, axis=1))[:, None]
+            da, db, norm = nonadiabatic._magnus_deviation(*w.T)
+            assert np.allclose(norm, np.linalg.norm(w, axis=1), rtol=1e-15)
+            for (w1, w2, w3), a, b in zip(w, da, db):
+                m = expm(np.array([[1j * w3, w2 + 1j * w1],
+                                   [-w2 + 1j * w1, -1j * w3]]))
+                assert abs(m[0, 0] - 1.0 - a) <= tol
+                assert abs(m[0, 1] - b) <= tol
+                assert abs(m[1, 0] + np.conj(b)) <= tol
+                assert abs(m[1, 1] - 1.0 - np.conj(a)) <= tol
+
+    @pytest.mark.parametrize("angle, chi", [(math.pi, 21.0),
+                                            (math.pi / 2, 8.0),
+                                            (2.0 * math.pi, 60.0)])
+    def test_half_march_equals_full_march(self, angle, chi):
+        # U = U+ U+^T from [0, u_b] against the product of every step over
+        # [-u_b, u_b], compared in the co-rotating frame: b2 = a2 e^{iS/2},
+        # b3 = a3 e^{-iS/2}; measured gap 3.5e-15, and 1.7e-15 relative
+        # in S_f
+        x = solve_xmax(angle, chi)
+        amps = integrate_amplitudes(chi, x)
+        b2, ub, phase = _full_march(chi, x, nonadiabatic.STEPS_PER_UNIT)
+        assert abs(amps.a2 * cmath.exp(0.5j * amps.phase) - b2) <= 1e-14
+        assert abs(amps.a3 * cmath.exp(-0.5j * amps.phase)
+                   + np.conj(ub)) <= 1e-14
+        assert amps.phase == pytest.approx(phase, rel=1e-14)
 
     def test_batch_equals_scalar_calls_bitwise(self):
-        # 12 000 steps: five whole chunks and a partial one; twenty points
-        # make the chunk arrays large enough for numpy to reuse temporaries
-        n = int(round(2.0 * PulseEnvelope().u_b * 2000))
+        # 2 400 steps: two whole chunks and a partial one.  Forty points
+        # make the first pairwise level (512 x 40 complex, 328 kB) larger
+        # than numpy's 256 kB threshold for reusing temporaries in place;
+        # at twenty, a product with its temporary on the right went unseen
+        n = int(round(PulseEnvelope().u_b * nonadiabatic.STEPS_PER_UNIT))
         assert n > 2 * nonadiabatic._CHUNK
         assert n % nonadiabatic._CHUNK != 0
-        chis = np.linspace(4.0, 40.0, 20)
+        chis = np.linspace(4.0, 40.0, 40)
         xs = solve_xmax(math.pi, chis)
         a2, a3, phase = integrate_amplitudes_batch(chis, xs)
         for i, chi in enumerate(chis):
