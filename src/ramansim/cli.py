@@ -25,7 +25,7 @@ import tempfile
 from .errors import ConfigurationError, NumericalError
 from .lambda_frame import (DEFAULT_BETA, MEV_TO_INV_NS_PHYSICAL, DriveConfig,
                            PhysicalUnits, PulseEnvelope, RotationSpec,
-                           solve_xmax)
+                           _check_axis, solve_xmax)
 from .lindblad import (DT_Z_LIMIT, WORST_CASE_DT_Z_LIMIT, DecayConfig,
                        _worst_case, density_from_state,
                        estimate_spontaneous_error, gate_error_mixed,
@@ -256,6 +256,7 @@ def cmd_gate(args):
     if not args.angle > 0.0:
         raise ConfigurationError("angle must be positive")
     if decay.total == 0.0:
+        _check_axis(args.alpha, args.beta)
         chi, _, _ = _timing(args)
         # nonadiabatic_error's composition, calibrating once for both the
         # error and the printed x_max

@@ -35,13 +35,11 @@ MEV_TO_INV_NS_PHYSICAL = 1519.3
 DEFAULT_BETA = math.pi / 4
 
 # Gauss-Legendre nodes per panel and the widest panel on the even half
-# [0, u_b] of the pulse, the u beyond which exp(-u^2 ln 2) underflows to 0
-# and so does f, the relative gap allowed between the rule and one on
-# panels half as wide, and the Newton iteration cap and stopping step (in
-# ulp of x) for solve_xmax
+# [0, u_b] of the pulse, the relative gap allowed between the rule and one
+# on panels half as wide, and the Newton iteration cap and stopping step
+# (in ulp of x) for solve_xmax
 _GL_NODES = 32
 _PANEL_WIDTH = 3.0
-_SUPPORT = 33.0
 _RULE_RTOL = 1e-10
 _NEWTON_MAX_ITER = 50
 _NEWTON_ULPS = 4.0
@@ -76,6 +74,11 @@ class PulseEnvelope:
     def __post_init__(self):
         if not 0.0 < self.u_b < math.inf:
             raise ConfigurationError("u_b must be positive and finite")
+
+    @property
+    def support(self):
+        """Half-width min(u_b, 33): f is 0 where exp(-u^2 ln 2) underflows."""
+        return min(self.u_b, 33.0)
 
     def _value_and_derivative(self, u):
         """f(u) and f'(u) from one exponential, u clipped to [-u_b, u_b]."""
@@ -225,33 +228,21 @@ class RotationSpec:
         ])
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n):
-    # numpy.polynomial is imported on first use, not at module load
-    from numpy.polynomial.legendre import leggauss
-    t, w = leggauss(n)
-    t, w = 0.5 * (t + 1.0), 0.5 * w
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
-
-
+@functools.lru_cache(maxsize=16)
 def _envelope_rule(env, panel_width=_PANEL_WIDTH):
     """Weights on [0, u_b] and q = 4 f^2 at composite Gauss-Legendre nodes.
 
-    The support [0, min(u_b, _SUPPORT)] is cut into the fewest equal
-    panels no wider than panel_width, with _GL_NODES nodes each; for
+    The support [0, env.support] is cut into the fewest equal panels no
+    wider than panel_width, with _GL_NODES nodes each; for
     u_b <= panel_width the rule is the single-panel one, node for node.
+    Cached: every calibration of one envelope reads the same two rules.
     """
-    return _composite_rule(env, panel_width, _GL_NODES)
-
-
-@functools.lru_cache(maxsize=16)
-def _composite_rule(env, panel_width, nodes):
-    # cached: every calibration of one envelope reads the same two rules
-    t, w = _gauss_legendre(nodes)
-    span = min(env.u_b, _SUPPORT)
-    panels = math.ceil(span / panel_width)
-    width = span / panels
+    # numpy.polynomial is imported on first use, not at module load
+    from numpy.polynomial.legendre import leggauss
+    t, w = leggauss(_GL_NODES)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    panels = math.ceil(env.support / panel_width)
+    width = env.support / panels
     f = env.value((width * np.arange(panels)[:, None] + width * t).ravel())
     w, q = np.tile(width * w, panels), 4.0 * f * f
     w.flags.writeable = q.flags.writeable = False
@@ -363,6 +354,14 @@ def solve_xmax(angle, chi, env=None):
     return float(x) if x.ndim == 0 else x
 
 
+def _check_axis(alpha, beta):
+    """ConfigurationError unless alpha is finite and beta in [0, pi/2]."""
+    if not 0.0 <= beta <= 0.5 * math.pi:
+        raise ConfigurationError("beta must lie in [0, pi/2]")
+    if not math.isfinite(alpha):
+        raise ConfigurationError("alpha must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class DriveConfig:
     """Complete drive specification for one gate.
@@ -397,10 +396,7 @@ class DriveConfig:
             raise ConfigurationError("tau must be positive")
         if self.x_max < 0.0:
             raise ConfigurationError("x_max must be >= 0")
-        if not 0.0 <= self.beta <= 0.5 * math.pi:
-            raise ConfigurationError("beta must lie in [0, pi/2]")
-        if not math.isfinite(self.alpha):
-            raise ConfigurationError("alpha must be finite")
+        _check_axis(self.alpha, self.beta)
 
     @property
     def chi(self):

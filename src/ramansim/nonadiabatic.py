@@ -94,7 +94,7 @@ def _magnus_deviation(w1, w2, w3):
 
 
 def _integrate(chi, x_max, env, steps_per_unit):
-    """Magnus-4 over u in [0, u_b] for paired (chi, x_max) points.
+    """Magnus-4 over u in [0, s], s = env.support, for (chi, x_max) points.
 
     In the co-rotating frame b2 = a2 e^{iS/2}, b3 = a3 e^{-iS/2} the pair
     obeys b' = G b with G = [[i nu, p], [-p, -i nu]], nu = S'/2: the pure
@@ -104,11 +104,12 @@ def _integrate(chi, x_max, env, steps_per_unit):
     closed form, so every step is exactly unitary (Blanes, Casas, Oteo &
     Ros, Phys. Rep. 470, 151 (2009)).  nu is even and p odd, so
     G(-u) = G(u)^T and the mirrored step is the step's transpose: with U+
-    the propagator over [0, u_b], the one over [-u_b, u_b] is U+ U+^T.
-    Only [0, u_b] is marched, _CHUNK steps at a time, each chunk's product
-    formed pairwise and composed into U+, held as a deviation from I.
-    S_f is the same Gauss rule's integral of S' on the march's nodes, and
-    a2 = e^{-iS_f/2}(1 + U_a), a3 = -e^{iS_f/2} conj(U_b).
+    the propagator over [0, s], the one over [-s, s] is U+ U+^T, marched
+    _CHUNK steps at a time, each chunk's product formed pairwise and
+    composed into U+, held as a deviation from I.  S_on is the same Gauss
+    rule's integral of S' on the march's nodes.  Beyond s, f = 0 and each
+    tail is the pure phase G = i (chi/2) sigma_z, so a2 = e^{-iS_on/2}
+    (1 + U_a), S_f = S_on + 2 chi (u_b - s) and a3 = -e^{iS_f/2} conj(U_b).
     """
     chi = np.atleast_1d(np.asarray(chi, dtype=float))
     x_max = np.atleast_1d(np.asarray(x_max, dtype=float))
@@ -121,8 +122,8 @@ def _integrate(chi, x_max, env, steps_per_unit):
         raise ConfigurationError("steps_per_unit must be a positive integer")
     if env is None:
         env = PulseEnvelope()
-    n = max(1, int(round(env.u_b * steps_per_unit)))
-    h = env.u_b / n
+    n = max(1, int(round(env.support * steps_per_unit)))
+    h = env.support / n
 
     q = 4.0 * x_max * x_max
     h2, h3 = 0.5 * h, _GAUSS * h * h
@@ -149,19 +150,19 @@ def _integrate(chi, x_max, env, steps_per_unit):
         w3_sum = w3_sum + np.cumsum(w3, axis=0)[-1]
         ua, ub = _compose(*_chain_product(da, db), ua, ub)
     ua, ub = _compose(ua, ub, ua, -np.conj(ub))
-    phase = 4.0 * w3_sum  # S_f = 2 int_0^{u_b} S' du
-    turn = np.exp(-0.5j * phase)
+    phase = 4.0 * w3_sum  # S_on = 2 int_0^s S' du
     # without drive every step is a pure phase, and a2 = 1 exactly
-    a2 = np.where(x_max == 0.0, 1.0, (1.0 + ua) * turn)
-    return a2, -np.conj(ub * turn), phase
+    a2 = np.where(x_max == 0.0, 1.0, (1.0 + ua) * np.exp(-0.5j * phase))
+    phase = phase + 2.0 * chi * (env.u_b - env.support)
+    return a2, -np.conj(ub * np.exp(-0.5j * phase)), phase
 
 
 def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=STEPS_PER_UNIT):
     """Integrate the amplitude system over u in [-u_b, u_b].
 
     Fixed-step Magnus-4 from a2 = 1, a3 = 0, sufficient by linearity,
-    marched over [0, u_b] only (_integrate).  Every step is exactly
-    unitary, and S is the same Gauss rule's integral of dS/du.
+    marched over [0, env.support] only (_integrate).  Every step is
+    exactly unitary, and S is the same Gauss rule's integral of dS/du.
 
     Parameters
     ----------
@@ -172,8 +173,8 @@ def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=STEPS_PER_UNIT):
     env : PulseEnvelope, optional
     steps_per_unit : int
         Magnus steps per unit of u (default STEPS_PER_UNIT), step
-        h = u_b / round(u_b * steps_per_unit).  A step whose exponent
-        |omega| exceeds MAX_PHASE_STEP raises NumericalError.
+        h = s / round(s * steps_per_unit), s = env.support.  A step with
+        |omega| above MAX_PHASE_STEP raises NumericalError.
 
     Returns
     -------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .lambda_frame import (DEFAULT_BETA, DriveConfig, PulseEnvelope,
-                           RotationSpec, solve_xmax)
+                           RotationSpec, _check_axis, solve_xmax)
 from .lindblad import (WORST_CASE_DT_Z_LIMIT, DecayConfig, density_from_state,
                        estimate_spontaneous_error, gate_error_mixed,
                        propagate_master, qubit_state)
@@ -165,6 +165,7 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
         raise ConfigurationError("need at least one angle and one chi value")
     if np.any(chi_values <= 0.0):
         raise ConfigurationError("chi values must be positive")
+    _check_axis(alpha, beta)
 
     has_decay = decay is not None and decay.total > 0.0
     meta = _metadata("error-vs-chi", env, angle_rad=_float_list(angles),

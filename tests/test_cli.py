@@ -332,6 +332,18 @@ class TestExitCodes:
         assert (capsys.readouterr().err
                 == "error: beta must lie in [0, pi/2]\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("sweep-chi --angle pi --chi 15 --beta nan", "beta must lie in"),
+        ("gate --angle pi --chi 20 --alpha inf", "alpha must be finite"),
+        ("gate --angle pi --chi 20 --beta 6.5", "beta must lie in"),
+        ("sweep-chi --angle pi --chi 15 --beta 2", "beta must lie in"),
+    ])
+    def test_decay_free_paths_check_axis(self, line, message, capsys):
+        # the error does not depend on the axis, but a bad one is rejected
+        # as on the decay paths
+        assert run(shlex.split(line)) == 2
+        assert capsys.readouterr().err.startswith("error: " + message)
+
     def test_frame_output(self, capsys):
         rc = run(["frame", "--angle", "pi", "--chi", "15"])
         assert rc == 0
@@ -464,6 +476,16 @@ class TestExtremeInputs:
         val, _ = quad(integrand, 0.0, 34.0, epsabs=0.0, epsrel=2e-14,
                       limit=500)
         assert 15.0 * val == pytest.approx(math.pi, rel=1e-11)
+
+    def test_tail_beyond_support_is_free(self, capsys):
+        # f = 0 beyond u = 33: a wider pulse adds a phase and no steps
+        out = {}
+        for u_b in ("40", "1e9"):
+            assert run(["gate", "--angle", "pi", "--chi", "15", "--ub",
+                        u_b]) == 0
+            kv = kv_from_stdout(capsys.readouterr().out)
+            out[u_b] = (kv["x_max"], kv["error"])
+        assert out["1e9"] == out["40"]
 
     def test_seeded_extreme_argv(self, capsys):
         # every outcome is a result, a configuration error or a numerical

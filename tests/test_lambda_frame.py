@@ -80,6 +80,15 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError):
             PulseEnvelope(u_b=math.nan)
 
+    def test_support(self):
+        # beyond u = 33 exp(-u^2 ln 2) underflows, and f and f' are 0
+        assert [PulseEnvelope(u_b=u_b).support
+                for u_b in (2.0, 33.0, 34.0, 1e9)] == [2.0, 33.0, 33.0, 33.0]
+        env, u = PulseEnvelope(u_b=1e3), np.linspace(33.0, 1e3, 7)
+        assert not np.any(env.value(u)) and not np.any(env.derivative(u))
+        with pytest.raises(AttributeError):
+            ENV.support = 3.0
+
 
 class TestUnits:
 
@@ -277,7 +286,12 @@ class TestSolveXmax:
         chis = np.arange(2.0, 61.0)
         angles = np.array([[math.pi / 2], [math.pi], [2.0 * math.pi]])
         x32 = solve_xmax(angles, chis)
+        # the rules are cached per envelope: build the 64-node ones
+        # uncached, so that they neither come from nor stay in the cache
         monkeypatch.setattr(lambda_frame, "_GL_NODES", 64)
+        monkeypatch.setattr(lambda_frame, "_envelope_rule",
+                            lambda_frame._envelope_rule.__wrapped__)
+        assert lambda_frame._envelope_rule(ENV)[0].size == 64
         x64 = solve_xmax(angles, chis)
         assert x32.shape == (3, chis.size)
         assert np.max(np.abs(x64 - x32)) <= 1e-13

@@ -325,3 +325,38 @@ class TestQuaternionKernel:
             assert a2[i] == amps.a2
             assert a3[i] == amps.a3
             assert phase[i] == amps.phase
+
+
+class TestSupportMarch:
+
+    @pytest.mark.parametrize("chi", [15.0, 21.0, 60.0])
+    def test_tail_moves_only_the_phase(self, chi):
+        # f = 0 beyond u = 33, so every u_b >= 33 marches the same steps
+        # and its tails shift only the phase of a3.  |d| = |a3| carries
+        # the rounding of one product with e^{iS_f/2}, measured 1 ulp
+        rows = []
+        for u_b in (33.0, 34.0, 40.0, 1e3):
+            env = PulseEnvelope(u_b=u_b)
+            x = solve_xmax(math.pi, chi, env)
+            amps = integrate_amplitudes(chi, x, env)
+            res = gate_error_pure(amps.a2, amps.a3)
+            rows.append((x, amps.a2, res.error, abs(res.c), res.p_star,
+                         abs(res.d), amps.phase - 2.0 * chi * u_b))
+        for row in rows[1:]:
+            assert row[:5] == rows[0][:5]
+            assert row[5] == pytest.approx(rows[0][5], rel=5e-16)
+            assert row[6] == pytest.approx(rows[0][6], rel=1e-12)
+
+    @pytest.mark.parametrize("u_b", [3.0, 34.0, 1e3])
+    def test_march_stops_at_support(self, u_b, monkeypatch):
+        steps = []
+        deviation = nonadiabatic._magnus_deviation
+
+        def counted(w1, w2, w3):
+            steps.append(len(w1))
+            return deviation(w1, w2, w3)
+
+        monkeypatch.setattr(nonadiabatic, "_magnus_deviation", counted)
+        integrate_amplitudes(21.0, 0.33, PulseEnvelope(u_b=u_b))
+        assert sum(steps) == round(min(u_b, 33.0)
+                                   * nonadiabatic.STEPS_PER_UNIT)
