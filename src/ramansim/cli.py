@@ -389,7 +389,9 @@ def build_parser(units):
             p.add_argument("--alpha", type=angle, default=0.0)
             p.add_argument("--beta", type=angle, default=DEFAULT_BETA)
         p.add_argument("--ub", type=float, default=PulseEnvelope().u_b,
-                       help="envelope truncation halfwidth u_b")
+                       help="envelope truncation halfwidth u_b; decay errors "
+                       "are read at t = u_b tau, so past u = 33, where f = 0, "
+                       "a wider u_b adds a dark wait")
 
     def output_opt(p):
         p.add_argument("-o", "--output", help="output file (default stdout)")

@@ -25,8 +25,13 @@ from .lambda_frame import PulseEnvelope, solve_xmax
 
 MAX_PHASE_STEP = 0.25  # rad: largest |omega| of one Magnus step
 STEPS_PER_UNIT = 800  # default Magnus steps per unit of u
-_CHUNK = 1024  # Magnus steps built and multiplied at a time
+_CHUNK = 4096  # Magnus steps multiplied in one pairwise tree
+_GROUP = 16  # points marched at a time, so memory does not grow with a batch
 _GAUSS = math.sqrt(3.0) / 6.0  # Gauss nodes at (1/2 -+ _GAUSS) h
+# Taylor coefficients in r = |w|^2 of (cos|w| - 1) / r and sin|w| / |w|, a
+# pair per row; up to MAX_PHASE_STEP the terms left out are below 1e-20
+_TAYLOR = np.array([[-(-1) ** k / math.factorial(2 * k + 2),
+                     (-1) ** k / math.factorial(2 * k + 1)] for k in range(7)])
 
 
 @dataclass(frozen=True)
@@ -66,31 +71,70 @@ def _compose(xa, xb, ya, yb):
 
 
 def _chain_product(a, b):
-    # (I + d[c-1]) ... (I + d[0]) - I for d = (a, b) by pairwise reduction
-    # along axis 0, later steps on the left
-    while len(a) > 1:
-        if len(a) % 2:
-            ta, tb = _compose(a[-1:], b[-1:], a[-2:-1], b[-2:-1])
-            a = np.concatenate((a[:-2], ta))
-            b = np.concatenate((b[:-2], tb))
-        a, b = _compose(a[1::2], b[1::2], a[0::2], b[0::2])
-    return a[0], b[0]
+    # (I + d[..., c-1]) ... (I + d[..., 0]) - I for d = (a, b) by pairwise
+    # reduction along the last axis, later steps on the left
+    while a.shape[-1] > 1:
+        if a.shape[-1] % 2:
+            ta, tb = _compose(a[..., -1:], b[..., -1:],
+                              a[..., -2:-1], b[..., -2:-1])
+            a = np.concatenate((a[..., :-2], ta), axis=-1)
+            b = np.concatenate((b[..., :-2], tb), axis=-1)
+        a, b = _compose(a[..., 1::2], b[..., 1::2],
+                        a[..., 0::2], b[..., 0::2])
+    return a[..., 0], b[..., 0]
 
 
 def _magnus_deviation(w1, w2, w3):
     """exp(i w.sigma) - I as the quaternion (a, b), and |w|.
 
     exp(i w.sigma) = (cos|w| + i w3 sinc, (w2 + i w1) sinc) with
-    sinc = sin|w| / |w|, and cos|w| - 1 = -2 sin^2(|w|/2).
+    sinc = sin|w| / |w|.  cos|w| - 1 and sinc are Horner polynomials in
+    r = |w|^2 (_TAYLOR), valid for |w| <= MAX_PHASE_STEP.
     """
-    w = np.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
-    sh, ch = np.sin(0.5 * w), np.cos(0.5 * w)
-    sinc = 2.0 * sh * ch / w
-    da = np.empty(w.shape, dtype=complex)
-    db = np.empty(w.shape, dtype=complex)
-    da.real, da.imag = -2.0 * sh * sh, w3 * sinc
-    db.real, db.imag = w2 * sinc, w1 * sinc
-    return da, db, w
+    r = w1 * w1 + w2 * w2 + w3 * w3
+    c = _TAYLOR.reshape(_TAYLOR.shape + (1,) * r.ndim)
+    t = c[-1] * r
+    for ck in c[-2:0:-1]:
+        t += ck
+        t *= r
+    t += c[0]
+    d = np.empty((2,) + r.shape, dtype=complex)
+    np.multiply(r, t[0], out=d[0].real)
+    np.multiply(w3, t[1], out=d[0].imag)
+    np.multiply(w2, t[1], out=d[1].real)
+    np.multiply(w1, t[1], out=d[1].imag)
+    return d[0], d[1], np.sqrt(r)
+
+
+def _march(chi, x_max, ff, fp, h):
+    # U+ - I as (ua, ub) and the sum of w3 for a group of points given as
+    # columns, with f^2 and f' at the nodes A and B as rows; a function of
+    # its own, so that a group's arrays are freed before the next group's
+    q = 4.0 * x_max * x_max
+    h2, h3 = 0.5 * h, _GAUSS * h * h
+    for k0 in range(0, ff.shape[-1], _CHUNK):
+        # p and nu = S'/2 at A and B, (2, points, steps), built in place
+        den = q * ff[..., k0:k0 + _CHUNK]
+        den += 1.0
+        p = x_max * fp[..., k0:k0 + _CHUNK]
+        p /= den
+        nu = np.sqrt(den, out=den)
+        nu *= 0.5 * chi
+        (pa, pb), (na, nb) = p, nu
+        w3 = h2 * (na + nb)
+        da, db, w = _magnus_deviation(h3 * (pa * nb - pb * na),
+                                      h2 * (pa + pb), w3)
+        if not np.all(w <= MAX_PHASE_STEP):
+            raise NumericalError(
+                "Magnus step angle %.3f rad exceeds %.2f; increase "
+                "steps_per_unit" % (np.max(w), MAX_PHASE_STEP))
+        # summed in sequence, so a point's S_f does not depend on the
+        # batch; copied out, so that the cumulative sums can be freed
+        s = np.cumsum(w3, axis=-1)[:, -1].copy()
+        pa, pb = _chain_product(da, db)
+        ua, ub = _compose(pa, pb, ua, ub) if k0 else (pa, pb)
+        w3_sum = w3_sum + s if k0 else s
+    return ua, ub, w3_sum
 
 
 def _integrate(chi, x_max, env, steps_per_unit):
@@ -104,20 +148,21 @@ def _integrate(chi, x_max, env, steps_per_unit):
     closed form, so every step is exactly unitary (Blanes, Casas, Oteo &
     Ros, Phys. Rep. 470, 151 (2009)).  nu is even and p odd, so
     G(-u) = G(u)^T and the mirrored step is the step's transpose: with U+
-    the propagator over [0, s], the one over [-s, s] is U+ U+^T, marched
-    _CHUNK steps at a time, each chunk's product formed pairwise and
-    composed into U+, held as a deviation from I.  S_on is the same Gauss
-    rule's integral of S' on the march's nodes.  Beyond s, f = 0 and each
-    tail is the pure phase G = i (chi/2) sigma_z, so a2 = e^{-iS_on/2}
-    (1 + U_a), S_f = S_on + 2 chi (u_b - s) and a3 = -e^{iS_f/2} conj(U_b).
+    the propagator over [0, s], the one over [-s, s] is U+ U+^T, one
+    pairwise product per _CHUNK steps for each _GROUP points (_march).
+    S_on is the same Gauss rule's integral of S' on the march's nodes.
+    Beyond s, f = 0 and each tail is the pure phase G = i (chi/2) sigma_z,
+    so a2 = e^{-iS_on/2} (1 + U_a), S_f = S_on + 2 chi (u_b - s) and
+    a3 = -e^{iS_f/2} conj(U_b).
     """
-    chi = np.atleast_1d(np.asarray(chi, dtype=float))
-    x_max = np.atleast_1d(np.asarray(x_max, dtype=float))
-    chi, x_max = np.broadcast_arrays(chi, x_max)
-    if not np.all(chi > 0.0):
-        raise ConfigurationError("chi must be positive")
-    if not np.all(x_max >= 0.0):
-        raise ConfigurationError("x_max must be >= 0")
+    chi, x_max = (v.ravel() for v in np.broadcast_arrays(
+        np.asarray(chi, dtype=float), np.asarray(x_max, dtype=float)))
+    if chi.size == 0:
+        raise ConfigurationError("no (chi, x_max) points given")
+    if not np.all(np.isfinite(chi) & (chi > 0.0)):
+        raise ConfigurationError("chi must be positive and finite")
+    if not np.all(np.isfinite(x_max) & (x_max >= 0.0)):
+        raise ConfigurationError("x_max must be >= 0 and finite")
     if int(steps_per_unit) != steps_per_unit or steps_per_unit < 1:
         raise ConfigurationError("steps_per_unit must be a positive integer")
     if env is None:
@@ -125,36 +170,19 @@ def _integrate(chi, x_max, env, steps_per_unit):
     n = max(1, int(round(env.support * steps_per_unit)))
     h = env.support / n
 
-    q = 4.0 * x_max * x_max
-    h2, h3 = 0.5 * h, _GAUSS * h * h
-    ua = ub = np.zeros(chi.size, dtype=complex)
-    w3_sum = np.zeros(chi.size)
-    for k0 in range(0, n, _CHUNK):
-        # envelope at each step's Gauss nodes A and B, interleaved; the
-        # coupling p and nu = S'/2 get one column per point
-        k = np.arange(k0, min(k0 + _CHUNK, n))[:, None]
-        f, fp = (v[:, None] for v in env._value_and_derivative(
-            ((k + [0.5 - _GAUSS, 0.5 + _GAUSS]) * h).ravel()))
-        den = 1.0 + q * f * f
-        p = x_max * fp / den
-        nu = (0.5 * chi) * np.sqrt(den)
-        pa, pb, na, nb = p[0::2], p[1::2], nu[0::2], nu[1::2]
-        w3 = h2 * (na + nb)
-        da, db, w = _magnus_deviation(h3 * (pa * nb - pb * na),
-                                      h2 * (pa + pb), w3)
-        if np.max(w) > MAX_PHASE_STEP:
-            raise NumericalError(
-                "Magnus step angle %.3f rad exceeds %.2f; increase "
-                "steps_per_unit" % (np.max(w), MAX_PHASE_STEP))
-        # summed in sequence, so a point's S_f does not depend on the batch
-        w3_sum = w3_sum + np.cumsum(w3, axis=0)[-1]
-        ua, ub = _compose(*_chain_product(da, db), ua, ub)
+    # f^2 and f' at each step's Gauss nodes A and B, one row each
+    f, fp = env._value_and_derivative(
+        (np.arange(n) + [[0.5 - _GAUSS], [0.5 + _GAUSS]]) * h)
+    ff, fp = (f * f)[:, None], fp[:, None]
+    march = [_march(chi[g:g + _GROUP, None], x_max[g:g + _GROUP, None],
+                    ff, fp, h) for g in range(0, chi.size, _GROUP)]
+    ua, ub, w3_sum = (np.concatenate(v) for v in zip(*march))
     ua, ub = _compose(ua, ub, ua, -np.conj(ub))
     phase = 4.0 * w3_sum  # S_on = 2 int_0^s S' du
     # without drive every step is a pure phase, and a2 = 1 exactly
     a2 = np.where(x_max == 0.0, 1.0, (1.0 + ua) * np.exp(-0.5j * phase))
     phase = phase + 2.0 * chi * (env.u_b - env.support)
-    return a2, -np.conj(ub * np.exp(-0.5j * phase)), phase
+    return a2, -np.conj(np.exp(-0.5j * phase) * ub), phase
 
 
 def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=STEPS_PER_UNIT):
