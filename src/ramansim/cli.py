@@ -23,6 +23,8 @@ import sys
 import tempfile
 
 from .errors import ConfigurationError, NumericalError
+# solve_xmax is not called here; bench/test_bench.py's
+# TestTracing::test_spans_and_restore asserts on this module's binding of it
 from .lambda_frame import (DEFAULT_BETA, MEV_TO_INV_NS_PHYSICAL, DriveConfig,
                            PhysicalUnits, PulseEnvelope, RotationSpec,
                            _check_axis, solve_xmax)
@@ -30,8 +32,7 @@ from .lindblad import (DT_Z_LIMIT, WORST_CASE_DT_Z_LIMIT, DecayConfig,
                        _worst_case, density_from_state,
                        estimate_spontaneous_error, gate_error_mixed,
                        qubit_state)
-from .nonadiabatic import (STEPS_PER_UNIT, gate_error_pure,
-                           integrate_amplitudes)
+from .nonadiabatic import STEPS_PER_UNIT, _calibrated_gates
 from .sweeps import (CHI_REGIME_MIN, ratio_grid, records_to_table,
                      sweep_error_vs_chi, sweep_error_vs_delta,
                      sweep_error_vs_gamma, sweep_xmax_vs_chi, trace_run)
@@ -104,6 +105,9 @@ def make_list_parser(scalar):
             if len(parts) != 3:
                 raise ConfigurationError("range must be start:stop:step: %r" % text)
             start, stop, step = (value(p) for p in parts)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ConfigurationError("range bounds and step must be "
+                                         "finite: %r" % text)
             if step <= 0.0 or stop < start:
                 raise ConfigurationError("bad range %r" % text)
             n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -138,6 +142,9 @@ def parse_initial(text):
 def _timing(args, need_physical=False):
     """(chi, detuning, tau) from --chi or any consistent pair of the three."""
     chi, det, tau = args.chi, args.delta, args.tau
+    for flag, v in (("--delta", det), ("--tau", tau)):
+        if v is not None and not 0.0 < v < math.inf:
+            raise ConfigurationError("%s must be positive and finite" % flag)
     if det is not None and tau is not None:
         derived = det * tau
         if chi is not None and abs(chi - derived) > 1e-9 * max(1.0, derived):
@@ -258,11 +265,7 @@ def cmd_gate(args):
     if decay.total == 0.0:
         _check_axis(args.alpha, args.beta)
         chi, _, _ = _timing(args)
-        # nonadiabatic_error's composition, calibrating once for both the
-        # error and the printed x_max
-        x = solve_xmax(args.angle, chi, env)
-        amps = integrate_amplitudes(chi, x, env, **step)
-        res = gate_error_pure(amps.a2, amps.a3)
+        (x,), (res,) = _calibrated_gates(args.angle, [chi], env, **step)
         _print_kv([
             ("chi", chi),
             ("x_max", x),

@@ -41,8 +41,9 @@ class DecayConfig:
     prefactor: float = 0.5
 
     def __post_init__(self):
-        if self.gamma0 < 0.0 or self.gamma1 < 0.0:
-            raise ConfigurationError("decay rates must be >= 0")
+        if not (0.0 <= self.gamma0 < math.inf
+                and 0.0 <= self.gamma1 < math.inf):
+            raise ConfigurationError("decay rates must be >= 0 and finite")
         if self.prefactor not in (0.5, 1.0):
             raise ConfigurationError("prefactor must be 1/2 or 1")
 

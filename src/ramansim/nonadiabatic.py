@@ -137,8 +137,17 @@ def _march(chi, x_max, ff, fp, h):
     return ua, ub, w3_sum
 
 
-def _integrate(chi, x_max, env, steps_per_unit):
-    """Magnus-4 over u in [0, s], s = env.support, for (chi, x_max) points.
+def integrate_amplitudes_batch(chi, x_max, env=None,
+                               steps_per_unit=STEPS_PER_UNIT):
+    """Integrate the amplitude system over u in [-u_b, u_b] for many points.
+
+    chi and x_max broadcast against each other; returns flat (a2, a3, S)
+    arrays, one entry per point, all marched on the same grid.  Fixed-step
+    Magnus-4 from a2 = 1, a3 = 0, sufficient by linearity, over
+    u in [0, s] only, s = env.support, with h = s / round(s *
+    steps_per_unit).  A step with |omega| above MAX_PHASE_STEP raises
+    NumericalError; an empty batch, a chi not positive and finite or an
+    x_max not >= 0 and finite raises ConfigurationError.
 
     In the co-rotating frame b2 = a2 e^{iS/2}, b3 = a3 e^{-iS/2} the pair
     obeys b' = G b with G = [[i nu, p], [-p, -i nu]], nu = S'/2: the pure
@@ -186,40 +195,16 @@ def _integrate(chi, x_max, env, steps_per_unit):
 
 
 def integrate_amplitudes(chi, x_max, env=None, steps_per_unit=STEPS_PER_UNIT):
-    """Integrate the amplitude system over u in [-u_b, u_b].
-
-    Fixed-step Magnus-4 from a2 = 1, a3 = 0, sufficient by linearity,
-    marched over [0, env.support] only (_integrate).  Every step is
-    exactly unitary, and S is the same Gauss rule's integral of dS/du.
-
-    Parameters
-    ----------
-    chi : float
-        Adiabaticity parameter Delta*tau > 0.
-    x_max : float
-        Peak ratio from the calibration.
-    env : PulseEnvelope, optional
-    steps_per_unit : int
-        Magnus steps per unit of u (default STEPS_PER_UNIT), step
-        h = s / round(s * steps_per_unit), s = env.support.  A step with
-        |omega| above MAX_PHASE_STEP raises NumericalError.
+    """integrate_amplitudes_batch for one (chi, x_max) point.
 
     Returns
     -------
     AdiabaticAmplitudes
     """
-    (a2,), (a3,), (phase,) = _integrate(chi, x_max, env, steps_per_unit)
+    (a2,), (a3,), (phase,) = integrate_amplitudes_batch(
+        chi, x_max, env, steps_per_unit)
     return AdiabaticAmplitudes(a2=complex(a2), a3=complex(a3),
                                phase=float(phase))
-
-
-def integrate_amplitudes_batch(chi, x_max, env=None,
-                               steps_per_unit=STEPS_PER_UNIT):
-    """integrate_amplitudes over arrays of (chi, x_max) pairs.
-
-    Same grid and steps for every point; returns (a2, a3, S) arrays.
-    """
-    return _integrate(chi, x_max, env, steps_per_unit)
 
 
 def gate_error_pure(c, d):
@@ -251,15 +236,28 @@ def gate_error_pure(c, d):
     return GateErrorResult(error=min(1.0, err), c=c, d=d, p_star=p)
 
 
+def _calibrated_gates(angle, chi, env=None, steps_per_unit=STEPS_PER_UNIT):
+    """x_max and the gamma = 0 GateErrorResult for each chi at one angle.
+
+    The one composition solve_xmax -> integrate_amplitudes_batch ->
+    gate_error_pure: one calibration and one march for all of chi (a
+    sequence).  Returns the x_max array and a list of results.
+    """
+    xs = solve_xmax(angle, chi, env)
+    a2, a3, _ = integrate_amplitudes_batch(chi, xs, env,
+                                           steps_per_unit=steps_per_unit)
+    return xs, [gate_error_pure(c, d)
+                for c, d in zip(a2.tolist(), a3.tolist())]
+
+
 def nonadiabatic_error(angle, chi, env=None, steps_per_unit=STEPS_PER_UNIT):
     """Gate error at gamma = 0 for a target angle and adiabaticity chi.
 
-    Composes solve_xmax -> integrate_amplitudes -> gate_error_pure.  The
-    result is independent of the rotation axis (alpha, beta), which is
-    why neither appears in the signature.
+    One point of _calibrated_gates.  The result is independent of the
+    rotation axis (alpha, beta), which is why neither appears in the
+    signature.
     """
     if not angle > 0.0:
         raise ConfigurationError("angle must be positive")
-    x = solve_xmax(angle, chi, env)
-    amps = integrate_amplitudes(chi, x, env, steps_per_unit=steps_per_unit)
-    return gate_error_pure(amps.a2, amps.a3)
+    _, (res,) = _calibrated_gates(angle, [chi], env, steps_per_unit)
+    return res

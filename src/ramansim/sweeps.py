@@ -21,8 +21,7 @@ from .lambda_frame import (DEFAULT_BETA, DriveConfig, PulseEnvelope,
 from .lindblad import (WORST_CASE_DT_Z_LIMIT, DecayConfig, density_from_state,
                        estimate_spontaneous_error, gate_error_mixed,
                        propagate_master, qubit_state)
-from .nonadiabatic import (STEPS_PER_UNIT, gate_error_pure,
-                           integrate_amplitudes_batch)
+from .nonadiabatic import STEPS_PER_UNIT, _calibrated_gates
 
 CHI_REGIME_MIN = 20.0
 ESTIMATE_REGIME_MAX = 0.05
@@ -175,11 +174,9 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
         meta["steps_per_unit"] = str(steps_per_unit)
         rows = []
         for angle in angles:
-            xs = solve_xmax(angle, chi_values, env)
-            a2, a3, _ = integrate_amplitudes_batch(
-                chi_values, xs, env, steps_per_unit=steps_per_unit)
-            for c, x, c2, c3 in zip(chi_values, xs, a2, a3):
-                res = gate_error_pure(complex(c2), complex(c3))
+            xs, results = _calibrated_gates(angle, chi_values, env,
+                                            steps_per_unit)
+            for c, x, res in zip(chi_values, xs, results):
                 rows.append((float(angle), float(c), float(x), res.error,
                              abs(res.c), abs(res.d), res.p_star))
         return SweepTable(
@@ -218,10 +215,10 @@ def _decay_grid(table, columns, angle, tau, detunings, gammas, prefactor,
     """Shared engine of the (detuning, gamma) tables.
 
     Validates, guards the largest estimate against estimate_max and each
-    chi against CHI_REGIME_MIN, calibrates every detuning and integrates
-    its gamma = 0 floor in one call each, then runs the master equation
-    once per point, detunings outer and gammas inner.  Returns the table
-    of the named columns with rows in evaluation order.
+    chi against CHI_REGIME_MIN, calibrates every detuning and reads its
+    gamma = 0 floor in one _calibrated_gates call, then runs the master
+    equation once per point, detunings outer and gammas inner.  Returns
+    the table of the named columns with rows in evaluation order.
     """
     if env is None:
         env = PulseEnvelope()
@@ -231,8 +228,8 @@ def _decay_grid(table, columns, angle, tau, detunings, gammas, prefactor,
         raise ConfigurationError("need at least one detuning and one gamma")
     if np.any(detunings <= 0.0):
         raise ConfigurationError("detunings must be positive")
-    if np.any(gammas < 0.0):
-        raise ConfigurationError("gammas must be >= 0")
+    if not np.all(np.isfinite(gammas) & (gammas >= 0.0)):
+        raise ConfigurationError("gammas must be >= 0 and finite")
     if not tau > 0.0:
         raise ConfigurationError("tau must be positive")
     DecayConfig(prefactor=prefactor)  # rejects a bad prefactor before any work
@@ -247,13 +244,11 @@ def _decay_grid(table, columns, angle, tau, detunings, gammas, prefactor,
         if chi < CHI_REGIME_MIN - 1e-9:
             _out_of_regime("chi = %.6g below the adiabatic working range "
                            "(>= %g)" % (chi, CHI_REGIME_MIN), enforce_regime)
-    xs = solve_xmax(angle, chis, env)
-    a2s, a3s, _ = integrate_amplitudes_batch(chis, xs, env)
+    xs, floors = _calibrated_gates(angle, chis, env)
     target = RotationSpec.from_angles(angle, alpha, beta)
     rows = []
-    for det, x, a2, a3 in zip(detunings.tolist(), xs.tolist(),
-                              a2s.tolist(), a3s.tolist()):
-        floor = gate_error_pure(a2, a3).error
+    for det, x, res in zip(detunings.tolist(), xs.tolist(), floors):
+        floor = res.error
         drive = DriveConfig(detuning=det, tau=tau, x_max=x,
                             alpha=alpha, beta=beta, envelope=env)
         for gamma in gammas.tolist():

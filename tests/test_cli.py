@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import ramansim.cli
+import ramansim.nonadiabatic
 from ramansim import (DEFAULT_BETA, ConfigurationError, DecayConfig,
                       DriveConfig, PhysicalUnits, PulseEnvelope, RotationSpec,
                       gate_error_mixed, integrate_amplitudes,
@@ -96,6 +97,12 @@ class TestParsers:
         with pytest.raises(ConfigurationError):
             float_list("4:2:1")
 
+    @pytest.mark.parametrize("text", ["1:inf:1", "-inf:2:1", "1:2:inf",
+                                      "nan:2:1", "1:nan:1", "1:2:nan"])
+    def test_list_range_rejects_non_finite(self, text):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make_list_parser(float)(text)
+
     def test_initial_named(self):
         psi = parse_initial("+i")
         s = 1.0 / math.sqrt(2.0)
@@ -138,6 +145,39 @@ class TestExitCodes:
         assert kv["abs_c"] == "%.12g" % abs(res.c)
         assert kv["abs_d"] == "%.12g" % abs(res.d)
         assert kv["p_star"] == "%.12g" % res.p_star
+
+    def test_gate_pure_marches_once(self, capsys, monkeypatch):
+        shapes = []
+        batch = ramansim.nonadiabatic.integrate_amplitudes_batch
+
+        def counting(chi, x_max, *args, **kwargs):
+            shapes.append(np.shape(chi))
+            return batch(chi, x_max, *args, **kwargs)
+
+        monkeypatch.setattr(ramansim.nonadiabatic,
+                            "integrate_amplitudes_batch", counting)
+        assert run(["gate", "--angle", "pi", "--chi", "21"]) == 0
+        assert shapes == [(1,)]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("line", [
+        "gate --angle pi --chi 21",
+        "sweep-chi --angle pi --angle pi/2 --chi 20,40",
+        "ratio-grid --angle pi --tau 14ps --delta 2meV --gamma 4ns^-1",
+    ])
+    def test_decay_free_paths_skip_scalar_kernel(self, line, capsys,
+                                                 monkeypatch):
+        def scalar(*args, **kwargs):
+            raise AssertionError("scalar amplitude kernel called")
+
+        # at every binding of the package's that holds it
+        original = ramansim.nonadiabatic.integrate_amplitudes
+        for name, module in list(sys.modules.items()):
+            if (name.partition(".")[0] == "ramansim" and getattr(
+                    module, "integrate_amplitudes", None) is original):
+                monkeypatch.setattr(module, "integrate_amplitudes", scalar)
+        assert run(shlex.split(line)) == 0
+        capsys.readouterr()
 
     def test_gate_decay_output(self, capsys, monkeypatch):
         calls = []
@@ -311,6 +351,46 @@ class TestExitCodes:
         assert run(shlex.split(line)) == code
         err = capsys.readouterr().err
         assert err.startswith("error:" if code == 2 else "numeric failure")
+
+    @pytest.mark.parametrize("line, message", [
+        ("gate --angle pi --chi 15 --delta 0meV", "--delta"),
+        ("gate --angle pi --chi 15 --tau 0ps", "--tau"),
+        ("gate --angle pi --chi 15 --delta infmeV", "--delta"),
+        ("gate --angle pi --chi 15 --tau=-2ps", "--tau"),
+        ("frame --angle pi --chi 15 --delta 0meV", "--delta"),
+        ("frame --angle pi --chi 15 --tau infps", "--tau"),
+        ("trace --angle pi --chi 15 --tau 0ps", "--tau"),
+        ("trace --angle pi --chi 15 --delta nanmeV", "--delta"),
+    ])
+    def test_timing_rejects_non_positive_or_non_finite(self, line, message,
+                                                       capsys):
+        assert run(shlex.split(line)) == 2
+        assert capsys.readouterr().err == (
+            "error: %s must be positive and finite\n" % message)
+
+    @pytest.mark.parametrize("line", [
+        "gate --angle pi --delta 1meV --tau 13.3ps --gamma0 nanns^-1",
+        "gate --angle pi --delta 1meV --tau 13.3ps --gamma1 infns^-1",
+        "trace --angle pi --delta 1meV --tau 13.3ps --gamma0 nanns^-1",
+        "sweep-chi --angle pi --chi 20 --delta 1meV --gamma0 nanns^-1",
+        "ratio-grid --angle pi --tau 14ps --delta 2meV --gamma nanns^-1",
+        "ratio-grid --angle pi --tau 14ps --delta 2meV --gamma infns^-1",
+    ])
+    def test_non_finite_decay_rate_rejected(self, line, capsys):
+        assert run(shlex.split(line)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("line, flag", [
+        ("sweep-xmax --angle pi --chi 1:inf:1", "--chi"),
+        ("ratio-grid --angle pi --tau 14ps --delta 2meV "
+         "--gamma 1:inf:1ns^-1", "--gamma"),
+    ])
+    def test_range_with_infinite_bound_rejected(self, line, flag, capsys):
+        assert run(shlex.split(line)) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.endswith(": error: argument %s: range bounds and step "
+                            "must be finite: %r" % (flag, line.split()[-1]))
 
     @pytest.mark.parametrize("line", [
         "trace --angle pi --delta 1meV --tau 12ps --gamma0 1ns^-1 "

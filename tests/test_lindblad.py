@@ -55,6 +55,13 @@ class TestDecayConfig:
         with pytest.raises(ConfigurationError):
             DecayConfig(gamma0=-1.0)
 
+    @pytest.mark.parametrize("rates", [
+        {"gamma0": math.nan}, {"gamma1": math.nan}, {"gamma0": math.inf},
+        {"gamma1": math.inf}])
+    def test_rejects_non_finite_rate(self, rates):
+        with pytest.raises(ConfigurationError, match="finite"):
+            DecayConfig(**rates)
+
     def test_rejects_odd_prefactor(self):
         with pytest.raises(ConfigurationError):
             DecayConfig(gamma0=1.0, prefactor=0.7)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ramansim.nonadiabatic
 import ramansim.sweeps
 from ramansim import (ConfigurationError, DecayConfig, DriveConfig,
                       fit_inverse, fit_linear_through_origin,
@@ -147,6 +148,14 @@ def test_empty_input_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_decay_grid_rejects_non_finite_gamma(gamma, monkeypatch):
+    # rejected before the drives are calibrated
+    monkeypatch.setattr(ramansim.nonadiabatic, "solve_xmax", None)
+    with pytest.raises(ConfigurationError, match="finite"):
+        ratio_grid([2.0, gamma], [3000.0], math.pi, 0.014)
+
+
 class TestCalibratesOnce:
     """Each sweep calibrates all its chi (or detuning) values in one call."""
 
@@ -159,6 +168,7 @@ class TestCalibratesOnce:
             return solve_xmax(angle, chi, env)
 
         monkeypatch.setattr(ramansim.sweeps, "solve_xmax", counting)
+        monkeypatch.setattr(ramansim.nonadiabatic, "solve_xmax", counting)
         # the master equation is not what these tests count
         monkeypatch.setattr(ramansim.sweeps, "gate_error_mixed",
                             lambda drive, decay, target=None, dt=None: 1e-3)
@@ -191,14 +201,14 @@ class TestCalibratesOnce:
 
     def test_decay_grid_floors(self, calls, monkeypatch):
         floor_calls = []
-        batch = ramansim.sweeps.integrate_amplitudes_batch
+        batch = ramansim.nonadiabatic.integrate_amplitudes_batch
 
         def counting(chi, x_max, env=None, **kwargs):
             floor_calls.append(np.shape(chi))
             return batch(chi, x_max, env, **kwargs)
 
-        monkeypatch.setattr(ramansim.sweeps, "integrate_amplitudes_batch",
-                            counting)
+        monkeypatch.setattr(ramansim.nonadiabatic,
+                            "integrate_amplitudes_batch", counting)
         detunings = [1500.0, 3000.0, 6000.0]
         table = ratio_grid([2.0, 6.0], detunings, math.pi, 0.014)
         assert floor_calls == [(3,)]
