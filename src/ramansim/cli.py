@@ -23,15 +23,11 @@ import sys
 import tempfile
 
 from .errors import ConfigurationError, NumericalError
-# solve_xmax is not called here; bench/test_bench.py's
-# TestTracing::test_spans_and_restore asserts on this module's binding of it
 from .lambda_frame import (DEFAULT_BETA, MEV_TO_INV_NS_PHYSICAL, DriveConfig,
-                           PhysicalUnits, PulseEnvelope, RotationSpec,
-                           _check_axis, solve_xmax)
+                           PhysicalUnits, PulseEnvelope, _check_axis,
+                           solve_xmax)
 from .lindblad import (DT_Z_LIMIT, WORST_CASE_DT_Z_LIMIT, DecayConfig,
-                       _worst_case, density_from_state,
-                       estimate_spontaneous_error, gate_error_mixed,
-                       qubit_state)
+                       _open_gates, density_from_state, qubit_state)
 from .nonadiabatic import STEPS_PER_UNIT, _calibrated_gates
 from .sweeps import (CHI_REGIME_MIN, ratio_grid, records_to_table,
                      sweep_error_vs_chi, sweep_error_vs_delta,
@@ -276,26 +272,20 @@ def cmd_gate(args):
         ])
         return
     chi, det, tau = _timing(args, need_physical=True)
-    drive = DriveConfig.for_rotation(args.angle, det, tau, alpha=args.alpha,
-                                     beta=args.beta, envelope=env)
-    target = RotationSpec.from_angles(args.angle, args.alpha, args.beta)
-    err = gate_error_mixed(drive, decay, target, args.dt)
-    # the same arguments again: _worst_case returns its cached result.
-    # Components below 1e-9 are zero up to the march's rounding, which
+    x = solve_xmax(args.angle, chi, env)
+    (err, est, ratio, worst_n), = _open_gates(
+        args.angle, det, tau, x, [decay], env, args.dt, args.alpha, args.beta)
+    # components below 1e-9 are zero up to the march's rounding, which
     # would print as digits that move with any reordering of its sums
-    _, worst_n = _worst_case(drive, decay, target, args.dt)
     worst_n = [0.0 if abs(v) < 1e-9 else v for v in worst_n]
-    est = estimate_spontaneous_error(args.angle, decay.total, det)
     _print_kv([
         ("chi", chi),
-        ("x_max", drive.x_max),
+        ("x_max", x),
         ("error", err),
         ("estimate", est),
-        ("ratio", err / est),
+        ("ratio", ratio),
         ("prefactor", decay.prefactor),
-        ("worst_n_x", worst_n[0]),
-        ("worst_n_y", worst_n[1]),
-        ("worst_n_z", worst_n[2]),
+        *zip(("worst_n_x", "worst_n_y", "worst_n_z"), worst_n),
     ])
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .lambda_frame import RotationSpec, hamiltonian
+from .lambda_frame import DriveConfig, RotationSpec, _check_axis, hamiltonian
 
 DT_Z_LIMIT = 0.02  # max phase advance Z*dt per RK4 step
 # the same for the unrecorded worst-case march (_error_quadratic), whose
@@ -130,8 +130,8 @@ def _resolve_dt(drive, dt, z_limit=DT_Z_LIMIT):
     """
     if dt is None:
         return z_limit / drive.z_max
-    if not dt > 0.0:
-        raise ConfigurationError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ConfigurationError("dt must be positive and finite")
     if dt * drive.z_max > z_limit * (1.0 + 1e-9):
         raise NumericalError(
             "dt too large: dt*Z_max = %.4g exceeds %.3g"
@@ -211,11 +211,8 @@ def _compose(a, b):
 
 def _chain_product(deltas):
     # (I + d[c-1]) ... (I + d[0]) - I by pairwise reduction along axis 0,
-    # later steps on the left
+    # later steps on the left; c must be a power of two (it is _BLOCK)
     while len(deltas) > 1:
-        if len(deltas) % 2:
-            deltas = np.concatenate(
-                (deltas[:-2], _compose(deltas[-1:], deltas[-2:-1])))
         deltas = _compose(deltas[1::2], deltas[0::2])
     return deltas[0]
 
@@ -445,7 +442,7 @@ def _worst_case(drive, decay, target, dt, /):
     """Worst-case gate error over initial qubit states and its Bloch vector.
 
     Returns (error, (n_x, n_y, n_z)), the error clamped to [0, 1].
-    raman-sim gate takes the error from gate_error_mixed, the public entry
+    _open_gates takes the error from gate_error_mixed, the public entry
     that bench/tracing.py times, and then n from here with the same
     arguments: the one cached entry makes that one march, and
     positional-only arguments keep one cache key per call.
@@ -485,3 +482,25 @@ def estimate_spontaneous_error(angle, gamma, detuning):
     if not detuning > 0.0:
         raise ConfigurationError("detuning must be positive")
     return angle * gamma / detuning
+
+
+def _open_gates(angle, detuning, tau, x_max, decays, env, dt, alpha, beta):
+    """(error, estimate, ratio, n) of each drive under each decay.
+
+    detuning, tau and x_max broadcast to one drive each, aimed at the
+    rotation (angle, alpha, beta); drives outer, decays inner.  The error
+    is gate_error_mixed's, the ratio is nan where the estimate
+    angle * gamma / detuning is 0, and n is the worst Bloch vector of the
+    _worst_case entry that call left, so each pair is one march.
+    """
+    _check_axis(alpha, beta)  # before rotation_axis takes cos(alpha)
+    target = RotationSpec.from_angles(angle, alpha, beta)
+    gates = []
+    for det, t, x in np.broadcast(detuning, tau, x_max):
+        drive = DriveConfig(float(det), float(t), float(x), alpha, beta, env)
+        for decay in decays:
+            err = gate_error_mixed(drive, decay, target, dt)
+            est = estimate_spontaneous_error(angle, decay.total, float(det))
+            gates.append((err, est, err / est if est > 0.0 else math.nan,
+                          _worst_case(drive, decay, target, dt)[1]))
+    return gates

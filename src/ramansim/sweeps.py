@@ -9,6 +9,7 @@ variable and split it equally between the two channels.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -16,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .lambda_frame import (DEFAULT_BETA, DriveConfig, PulseEnvelope,
-                           RotationSpec, _check_axis, solve_xmax)
-from .lindblad import (WORST_CASE_DT_Z_LIMIT, DecayConfig, density_from_state,
-                       estimate_spontaneous_error, gate_error_mixed,
+from .lambda_frame import (DEFAULT_BETA, PulseEnvelope, _check_axis,
+                           solve_xmax)
+from .lindblad import (WORST_CASE_DT_Z_LIMIT, DecayConfig, _open_gates,
+                       density_from_state, estimate_spontaneous_error,
                        propagate_master, qubit_state)
 from .nonadiabatic import STEPS_PER_UNIT, _calibrated_gates
 
@@ -115,11 +116,6 @@ def _metadata(table, env, **fields):
             "envelope": "truncated-gaussian", "u_b": repr(env.u_b), **fields}
 
 
-def _ratio(err, est):
-    """Exact error over the estimate Lambda gamma / Delta; nan at 0."""
-    return err / est if est > 0.0 else math.nan
-
-
 def _float_list(values):
     return ",".join(repr(float(v)) for v in values)
 
@@ -171,6 +167,8 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
                      chi_values=_float_list(chi_values))
 
     if not has_decay:
+        if detuning is not None:
+            raise ConfigurationError("a detuning applies only with decay")
         meta["steps_per_unit"] = str(steps_per_unit)
         rows = []
         for angle in angles:
@@ -194,16 +192,14 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
         final_time="light-off")
 
     rows = []
+    taus = chi_values / detuning
     for angle in angles.tolist():
-        target = RotationSpec.from_angles(angle, alpha, beta)
         xs = solve_xmax(angle, chi_values, env)
-        est = estimate_spontaneous_error(angle, decay.total, detuning)
-        for chi, x in zip(chi_values.tolist(), xs.tolist()):
-            tau = chi / detuning
-            drive = DriveConfig(detuning=detuning, tau=tau, x_max=x,
-                                alpha=alpha, beta=beta, envelope=env)
-            err = gate_error_mixed(drive, decay, target=target, dt=dt)
-            rows.append((angle, chi, tau, x, err, est, _ratio(err, est)))
+        gates = _open_gates(angle, detuning, taus, xs, [decay], env, dt,
+                            alpha, beta)
+        # each gate's (error, estimate, ratio) closes its row
+        rows += [(angle, chi, tau, x, *gate[:3]) for chi, tau, x, gate in zip(
+            chi_values.tolist(), taus.tolist(), xs.tolist(), gates)]
     return SweepTable(
         name="error-vs-chi",
         columns=("angle", "chi", "tau", "x_max", "error", "estimate", "ratio"),
@@ -216,8 +212,8 @@ def _decay_grid(table, columns, angle, tau, detunings, gammas, prefactor,
 
     Validates, guards the largest estimate against estimate_max and each
     chi against CHI_REGIME_MIN, calibrates every detuning and reads its
-    gamma = 0 floor in one _calibrated_gates call, then runs the master
-    equation once per point, detunings outer and gammas inner.  Returns
+    gamma = 0 floor in one _calibrated_gates call, then runs every point
+    in one _open_gates call, detunings outer and gammas inner.  Returns
     the table of the named columns with rows in evaluation order.
     """
     if env is None:
@@ -232,7 +228,8 @@ def _decay_grid(table, columns, angle, tau, detunings, gammas, prefactor,
         raise ConfigurationError("gammas must be >= 0 and finite")
     if not tau > 0.0:
         raise ConfigurationError("tau must be positive")
-    DecayConfig(prefactor=prefactor)  # rejects a bad prefactor before any work
+    # built before any work, so a bad prefactor fails first
+    decays = [DecayConfig(g / 2, g / 2, prefactor) for g in gammas.tolist()]
 
     worst = estimate_spontaneous_error(angle, gammas.max(), detunings.min())
     if worst > estimate_max + 1e-12:
@@ -245,25 +242,19 @@ def _decay_grid(table, columns, angle, tau, detunings, gammas, prefactor,
             _out_of_regime("chi = %.6g below the adiabatic working range "
                            "(>= %g)" % (chi, CHI_REGIME_MIN), enforce_regime)
     xs, floors = _calibrated_gates(angle, chis, env)
-    target = RotationSpec.from_angles(angle, alpha, beta)
+    gates = _open_gates(angle, detunings, tau, xs, decays, env, dt, alpha,
+                        beta)
     rows = []
-    for det, x, res in zip(detunings.tolist(), xs.tolist(), floors):
+    for ((det, res), gamma), (err, est, ratio, _) in zip(
+            itertools.product(zip(detunings.tolist(), floors),
+                              gammas.tolist()), gates):
         floor = res.error
-        drive = DriveConfig(detuning=det, tau=tau, x_max=x,
-                            alpha=alpha, beta=beta, envelope=env)
-        for gamma in gammas.tolist():
-            decay = DecayConfig(gamma0=0.5 * gamma, gamma1=0.5 * gamma,
-                                prefactor=prefactor)
-            err = gate_error_mixed(drive, decay, target=target, dt=dt)
-            est = estimate_spontaneous_error(angle, gamma, det)
-            frac = floor / est if est > 0.0 else math.inf
-            cells = {"detuning": det, "gamma": gamma, "error": err,
-                     "error_floor": floor, "estimate": est,
-                     "ratio": _ratio(err, est),
-                     "scaled_excess": (err - floor) * det,
-                     "floor_fraction": frac,
-                     "floor_dominated": 1.0 if frac > 0.1 else 0.0}
-            rows.append(tuple(cells[c] for c in columns))
+        frac = floor / est if est > 0.0 else math.inf
+        cells = {"detuning": det, "gamma": gamma, "error": err,
+                 "error_floor": floor, "estimate": est, "ratio": ratio,
+                 "scaled_excess": (err - floor) * det, "floor_fraction": frac,
+                 "floor_dominated": 1.0 if frac > 0.1 else 0.0}
+        rows.append(tuple(cells[c] for c in columns))
 
     meta = _metadata(
         table, env, angle_rad=repr(float(angle)), tau_ns=repr(float(tau)),

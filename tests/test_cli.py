@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import ramansim.cli
+import ramansim.lindblad
 import ramansim.nonadiabatic
 from ramansim import (DEFAULT_BETA, ConfigurationError, DecayConfig,
                       DriveConfig, PhysicalUnits, PulseEnvelope, RotationSpec,
@@ -220,6 +221,35 @@ class TestExitCodes:
         assert kv["worst_n_y"] == kv["worst_n_z"] == "0"
         assert abs(float(kv["worst_n_x"])) == pytest.approx(1.0, abs=1e-11)
 
+    def test_gate_decay_matches_sweep_chi_row(self, capsys, monkeypatch):
+        # 1 meV * (24.5 / 1 meV) is not 24.5 in floating point: the gate
+        # calibrates at the chi it was given, as the sweep does
+        calls, marches = [], []
+        march = ramansim.lindblad._propagate_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_xmax(*args, **kwargs)
+
+        def counting_march(*args, **kwargs):
+            marches.append(args)
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(ramansim.cli, "solve_xmax", counting)
+        monkeypatch.setattr(ramansim.lindblad, "_propagate_batch",
+                            counting_march)
+        ramansim.lindblad._worst_case.cache_clear()
+        flags = ["--angle", "pi", "--chi", "24.5", "--delta", "1meV",
+                 "--gamma0", "2ns^-1", "--gamma1", "6ns^-1"]
+        assert run(["gate"] + flags) == 0
+        assert len(calls) == len(marches) == 1
+        kv = kv_from_stdout(capsys.readouterr().out)
+        assert run(["sweep-chi"] + flags) == 0
+        header, row = capsys.readouterr().out.splitlines()[-2:]
+        row = dict(zip(header.split(","), row.split(",")))
+        for key in ("x_max", "error", "estimate", "ratio"):
+            assert kv[key] == row[key]
+
     def test_gate_pure_rejects_zero_angle(self, capsys):
         assert run(["gate", "--angle", "0", "--chi", "21"]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -250,6 +280,8 @@ class TestExitCodes:
         ["sweep-chi", "--angle", "pi", "--chi", "20", "--delta", "1meV",
          "--gamma0", "5ns^-1", "--steps-per-unit", "2000", "-o",
          "out.csv"],
+        # the detuning is read only with decay
+        ["sweep-chi", "--angle", "pi", "--chi", "20", "--delta", "0meV"],
     ])
     def test_unread_flags_rejected(self, argv, capsys, tmp_path,
                                    monkeypatch):
@@ -338,6 +370,19 @@ class TestExitCodes:
         assert rc == 3
         assert "exceeds 0.04" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "gate --angle pi --delta 1meV --tau 13.3ps --gamma0 1ns^-1",
+        "trace --angle pi --delta 1meV --tau 13.3ps --gamma0 1ns^-1",
+        "ratio-grid --angle pi --tau 14ps --delta 2meV --gamma 2ns^-1",
+        "sweep-chi --angle pi --chi 20 --delta 1meV --gamma0 1ns^-1",
+    ])
+    def test_non_finite_dt_rejected(self, line, capsys):
+        # non-finite input is a configuration error, unlike a finite step
+        # above the limit (test_gate_dt_above_limit)
+        assert run(shlex.split(line) + ["--dt", "infns"]) == 2
+        assert (capsys.readouterr().err
+                == "error: dt must be positive and finite\n")
+
     @pytest.mark.parametrize("line, code", [
         ("frame --angle nan --chi 20", 2),
         ("gate --angle inf --chi 20", 2),
@@ -423,6 +468,15 @@ class TestExitCodes:
         # as on the decay paths
         assert run(shlex.split(line)) == 2
         assert capsys.readouterr().err.startswith("error: " + message)
+
+    @pytest.mark.parametrize("subcommand", ["sweep-gamma", "sweep-delta",
+                                            "ratio-grid"])
+    def test_grids_check_axis(self, subcommand, capsys):
+        # the axis is checked before the target is built from it, where
+        # cos(inf) would raise a ValueError
+        assert run([subcommand, "--angle", "pi", "--tau", "14ps", "--delta",
+                    "2meV", "--gamma", "2ns^-1", "--alpha", "inf"]) == 2
+        assert capsys.readouterr().err == "error: alpha must be finite\n"
 
     def test_frame_output(self, capsys):
         rc = run(["frame", "--angle", "pi", "--chi", "15"])

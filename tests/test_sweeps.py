@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ramansim.lindblad
 import ramansim.nonadiabatic
 import ramansim.sweeps
 from ramansim import (ConfigurationError, DecayConfig, DriveConfig,
@@ -169,9 +170,11 @@ class TestCalibratesOnce:
 
         monkeypatch.setattr(ramansim.sweeps, "solve_xmax", counting)
         monkeypatch.setattr(ramansim.nonadiabatic, "solve_xmax", counting)
-        # the master equation is not what these tests count
-        monkeypatch.setattr(ramansim.sweeps, "gate_error_mixed",
-                            lambda drive, decay, target=None, dt=None: 1e-3)
+        # the master equation is not what these tests count: the stub
+        # stands in for the march behind both the error and the worst n
+        monkeypatch.setattr(ramansim.lindblad, "_worst_case",
+                            lambda drive, decay, target, dt:
+                            (1e-3, (1.0, 0.0, 0.0)))
         return calls
 
     def test_sweep_xmax(self, calls):
@@ -218,6 +221,41 @@ class TestCalibratesOnce:
         for det, row in zip(detunings, table.rows):
             # the batch floor equals the scalar path's to the bit
             assert row[3] == nonadiabatic_error(math.pi / 2, det * 0.014).error
+
+
+class TestOneMarchPerPoint:
+    """Each point of a decay table is one master-equation march."""
+
+    @pytest.fixture
+    def marches(self, monkeypatch):
+        marches = []
+        march = ramansim.lindblad._propagate_batch
+
+        def counting(*args, **kwargs):
+            marches.append(args)
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(ramansim.lindblad, "_propagate_batch", counting)
+        ramansim.lindblad._worst_case.cache_clear()
+        return marches
+
+    def check(self, marches, points):
+        # the error is one cache miss per point and the worst n one hit
+        assert len(marches) == points
+        info = ramansim.lindblad._worst_case.cache_info()
+        assert (info.hits, info.misses) == (points, points)
+
+    def test_decay_grid(self, marches):
+        table = ratio_grid([2.0, 6.0], [1500.0, 3000.0], math.pi, 0.014)
+        self.check(marches, len(table))
+        assert len(table) == 4
+
+    def test_sweep_chi_decay(self, marches):
+        table = sweep_error_vs_chi([math.pi / 2, math.pi], [20.0, 25.0, 30.0],
+                                   decay=DecayConfig(gamma0=5.0),
+                                   detuning=1500.0)
+        self.check(marches, len(table))
+        assert len(table) == 6
 
 
 class TestSweepErrorVsGamma:
