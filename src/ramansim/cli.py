@@ -24,14 +24,14 @@ import tempfile
 
 from .errors import ConfigurationError, NumericalError
 from .lambda_frame import (DEFAULT_BETA, MEV_TO_INV_NS_PHYSICAL, DriveConfig,
-                           PhysicalUnits, PulseEnvelope, _check_axis,
-                           solve_xmax)
+                           PhysicalUnits, PulseEnvelope, solve_xmax)
 from .lindblad import (DT_Z_LIMIT, WORST_CASE_DT_Z_LIMIT, DecayConfig,
                        _open_gates, density_from_state, qubit_state)
 from .nonadiabatic import STEPS_PER_UNIT, _calibrated_gates
-from .sweeps import (CHI_REGIME_MIN, ratio_grid, records_to_table,
-                     sweep_error_vs_chi, sweep_error_vs_delta,
-                     sweep_error_vs_gamma, sweep_xmax_vs_chi, trace_run)
+from .sweeps import (CHI_REGIME_MIN, _path_inputs, ratio_grid,
+                     records_to_table, sweep_error_vs_chi,
+                     sweep_error_vs_delta, sweep_error_vs_gamma,
+                     sweep_xmax_vs_chi, trace_run)
 
 _PI_FORM = re.compile(r"^([+-]?\d*\.?\d*)pi(?:/(\d*\.?\d+))?$")
 _UNIT_SUFFIX = re.compile(r"(meV|ns\^-1|ps|ns)$")
@@ -165,21 +165,6 @@ def _decay(args):
                        prefactor=args.prefactor)
 
 
-def _step_option(args, decay):
-    # the step keyword of the path decay selects (--steps-per-unit without
-    # it, --dt with it); the other path's flag is an error
-    if decay.total > 0.0:
-        if args.steps_per_unit is not None:
-            raise ConfigurationError(
-                "--steps-per-unit applies only without decay; use --dt")
-        return {"dt": args.dt}
-    if args.dt is not None:
-        raise ConfigurationError(
-            "--dt applies only with decay; use --steps-per-unit")
-    steps = args.steps_per_unit
-    return {} if steps is None else {"steps_per_unit": steps}
-
-
 def _fmt(v):
     # + 0.0 canonicalizes negative zero
     return "%.12g" % (v + 0.0)
@@ -255,13 +240,13 @@ def cmd_frame(args):
 def cmd_gate(args):
     env = PulseEnvelope(u_b=args.ub)
     decay = _decay(args)
-    step = _step_option(args, decay)
+    step = _path_inputs(decay, args.alpha, args.beta, args.steps_per_unit,
+                        args.dt)
     if not args.angle > 0.0:
         raise ConfigurationError("angle must be positive")
     if decay.total == 0.0:
-        _check_axis(args.alpha, args.beta)
         chi, _, _ = _timing(args)
-        (x,), (res,) = _calibrated_gates(args.angle, [chi], env, **step)
+        (x,), (res,) = _calibrated_gates(args.angle, [chi], env, step)
         _print_kv([
             ("chi", chi),
             ("x_max", x),
@@ -274,7 +259,7 @@ def cmd_gate(args):
     chi, det, tau = _timing(args, need_physical=True)
     x = solve_xmax(args.angle, chi, env)
     (err, est, ratio, worst_n), = _open_gates(
-        args.angle, det, tau, x, [decay], env, args.dt, args.alpha, args.beta)
+        args.angle, det, tau, x, [decay], env, step, args.alpha, args.beta)
     # components below 1e-9 are zero up to the march's rounding, which
     # would print as digits that move with any reordering of its sums
     worst_n = [0.0 if abs(v) < 1e-9 else v for v in worst_n]
@@ -303,11 +288,10 @@ def cmd_trace(args):
 
 
 def cmd_sweep_chi(args):
-    decay = _decay(args)
     return sweep_error_vs_chi(
-        args.angle, args.chi, decay=decay, detuning=args.delta,
-        env=PulseEnvelope(u_b=args.ub), alpha=args.alpha, beta=args.beta,
-        **_step_option(args, decay))
+        args.angle, args.chi, decay=_decay(args), detuning=args.delta,
+        env=PulseEnvelope(u_b=args.ub), steps_per_unit=args.steps_per_unit,
+        dt=args.dt, alpha=args.alpha, beta=args.beta)
 
 
 def cmd_sweep_xmax(args):
@@ -408,7 +392,7 @@ def build_parser(units):
         prefactor_opt(p)
 
     def steps_opt(p):
-        p.add_argument("--steps-per-unit", type=int,
+        p.add_argument("--steps-per-unit", type=int, default=STEPS_PER_UNIT,
                        help="amplitude Magnus steps per unit of u, default %d "
                             "(no decay)" % STEPS_PER_UNIT)
 

@@ -44,6 +44,10 @@ _RULE_RTOL = 1e-10
 _NEWTON_MAX_ITER = 50
 _NEWTON_ULPS = 4.0
 _DOMAIN_ULPS = 4  # ulp past u_b that t / tau can round to at t = u_b tau
+# the most steps one march may take, amplitude or master equation: each
+# kernel samples the drive at every step before it marches, about 62 bytes
+# a step (0.6 GB at the cap), and default runs take at most 5e4 steps
+_MAX_STEPS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -390,12 +394,12 @@ class DriveConfig:
     envelope: PulseEnvelope = PulseEnvelope()
 
     def __post_init__(self):
-        if not self.detuning > 0.0:
-            raise ConfigurationError("detuning must be positive")
-        if not self.tau > 0.0:
-            raise ConfigurationError("tau must be positive")
-        if self.x_max < 0.0:
-            raise ConfigurationError("x_max must be >= 0")
+        if not 0.0 < self.detuning < math.inf:
+            raise ConfigurationError("detuning must be positive and finite")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigurationError("tau must be positive and finite")
+        if not 0.0 <= self.x_max < math.inf:
+            raise ConfigurationError("x_max must be >= 0 and finite")
         _check_axis(self.alpha, self.beta)
 
     @property

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .lambda_frame import DriveConfig, RotationSpec, _check_axis, hamiltonian
+from .lambda_frame import (_MAX_STEPS, DriveConfig, RotationSpec,
+                           _check_axis, hamiltonian)
 
 DT_Z_LIMIT = 0.02  # max phase advance Z*dt per RK4 step
 # the same for the unrecorded worst-case march (_error_quadratic), whose
@@ -263,11 +264,17 @@ def _propagate_batch(ops, drive, decay, dt, record_stride=0,
     the final (m, 3, 3) batch; with record_stride > 0 it returns
     (batch, times, coords) with the coordinates (r, 9, m) at t_i, every
     record_stride-th step and t_f.  Raises NumericalError when any
-    operator's trace drifts.  dt and z_limit go to _resolve_dt.
+    operator's trace drifts, and ConfigurationError, before any array is
+    built, above _MAX_STEPS steps.  dt and z_limit go to _resolve_dt.
     """
     dt = _resolve_dt(drive, dt, z_limit)
     span = drive.t_final - drive.t_initial
-    n = max(1, int(math.ceil(span / dt - 1e-12)))
+    count = span / dt
+    if not count <= _MAX_STEPS:
+        raise ConfigurationError(
+            "%.4g steps of dt = %.4g ns exceed the cap of %d steps"
+            % (count, dt, _MAX_STEPS))
+    n = max(1, int(math.ceil(count - 1e-12)))
     h = span / n
     # envelope at the 2n+1 RK4 stage instants
     f = drive.envelope.value(np.linspace(-drive.envelope.u_b,

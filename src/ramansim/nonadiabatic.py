@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .lambda_frame import PulseEnvelope, solve_xmax
+from .lambda_frame import _MAX_STEPS, PulseEnvelope, solve_xmax
 
 MAX_PHASE_STEP = 0.25  # rad: largest |omega| of one Magnus step
 STEPS_PER_UNIT = 800  # default Magnus steps per unit of u
@@ -146,8 +146,9 @@ def integrate_amplitudes_batch(chi, x_max, env=None,
     Magnus-4 from a2 = 1, a3 = 0, sufficient by linearity, over
     u in [0, s] only, s = env.support, with h = s / round(s *
     steps_per_unit).  A step with |omega| above MAX_PHASE_STEP raises
-    NumericalError; an empty batch, a chi not positive and finite or an
-    x_max not >= 0 and finite raises ConfigurationError.
+    NumericalError; an empty batch, a chi not positive and finite, an
+    x_max not >= 0 and finite or more than _MAX_STEPS steps raises
+    ConfigurationError.
 
     In the co-rotating frame b2 = a2 e^{iS/2}, b3 = a3 e^{-iS/2} the pair
     obeys b' = G b with G = [[i nu, p], [-p, -i nu]], nu = S'/2: the pure
@@ -172,10 +173,15 @@ def integrate_amplitudes_batch(chi, x_max, env=None,
         raise ConfigurationError("chi must be positive and finite")
     if not np.all(np.isfinite(x_max) & (x_max >= 0.0)):
         raise ConfigurationError("x_max must be >= 0 and finite")
-    if int(steps_per_unit) != steps_per_unit or steps_per_unit < 1:
+    if not (steps_per_unit >= 1 and steps_per_unit % 1 == 0):
         raise ConfigurationError("steps_per_unit must be a positive integer")
     if env is None:
         env = PulseEnvelope()
+    # compared before the product, which a huge integer would overflow
+    if steps_per_unit > _MAX_STEPS / env.support:
+        raise ConfigurationError(
+            "%d steps per unit over u in [0, %g] exceed the cap of %d steps"
+            % (steps_per_unit, env.support, _MAX_STEPS))
     n = max(1, int(round(env.support * steps_per_unit)))
     h = env.support / n
 

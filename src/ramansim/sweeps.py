@@ -127,6 +127,25 @@ def _dt_rule(dt):
     return repr(float(dt))
 
 
+def _path_inputs(decay, alpha, beta, steps_per_unit, dt):
+    """dt or steps_per_unit: the step input of the path decay selects.
+
+    Only the master equation, selected by a decay rate above 0, reads dt
+    and the prefactor.  An input the path does not read must keep its
+    default, and both paths refuse a bad axis (_check_axis).
+    """
+    _check_axis(alpha, beta)
+    if decay is not None and decay.total > 0.0:
+        if steps_per_unit != STEPS_PER_UNIT:
+            raise ConfigurationError("steps_per_unit is not read with decay")
+        return dt
+    if dt is not None:
+        raise ConfigurationError("dt is not read without decay")
+    if decay is not None and decay.prefactor != DecayConfig().prefactor:
+        raise ConfigurationError("prefactor is not read without decay")
+    return steps_per_unit
+
+
 def sweep_xmax_vs_chi(angle, chi_values, env=None):
     """Calibrated peak ratio x_max for each chi at a fixed angle."""
     if env is None:
@@ -160,20 +179,17 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
         raise ConfigurationError("need at least one angle and one chi value")
     if np.any(chi_values <= 0.0):
         raise ConfigurationError("chi values must be positive")
-    _check_axis(alpha, beta)
-
-    has_decay = decay is not None and decay.total > 0.0
+    step = _path_inputs(decay, alpha, beta, steps_per_unit, dt)
     meta = _metadata("error-vs-chi", env, angle_rad=_float_list(angles),
                      chi_values=_float_list(chi_values))
 
-    if not has_decay:
+    if decay is None or decay.total == 0.0:
         if detuning is not None:
             raise ConfigurationError("a detuning applies only with decay")
         meta["steps_per_unit"] = str(steps_per_unit)
         rows = []
         for angle in angles:
-            xs, results = _calibrated_gates(angle, chi_values, env,
-                                            steps_per_unit)
+            xs, results = _calibrated_gates(angle, chi_values, env, step)
             for c, x, res in zip(chi_values, xs, results):
                 rows.append((float(angle), float(c), float(x), res.error,
                              abs(res.c), abs(res.d), res.p_star))
@@ -195,7 +211,7 @@ def sweep_error_vs_chi(angles, chi_values, decay=None, detuning=None,
     taus = chi_values / detuning
     for angle in angles.tolist():
         xs = solve_xmax(angle, chi_values, env)
-        gates = _open_gates(angle, detuning, taus, xs, [decay], env, dt,
+        gates = _open_gates(angle, detuning, taus, xs, [decay], env, step,
                             alpha, beta)
         # each gate's (error, estimate, ratio) closes its row
         rows += [(angle, chi, tau, x, *gate[:3]) for chi, tau, x, gate in zip(

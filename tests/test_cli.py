@@ -7,6 +7,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -282,6 +283,12 @@ class TestExitCodes:
          "out.csv"],
         # the detuning is read only with decay
         ["sweep-chi", "--angle", "pi", "--chi", "20", "--delta", "0meV"],
+        # a value other than the default of a flag the path does not read
+        ["gate", "--angle", "pi", "--chi", "21", "--prefactor", "1"],
+        ["sweep-chi", "--angle", "pi", "--chi", "21", "--prefactor", "1",
+         "-o", "out.csv"],
+        ["gate", "--angle", "pi", "--delta", "1meV", "--tau", "13.3ps",
+         "--gamma0", "5ns^-1", "--steps-per-unit", "1600"],
     ])
     def test_unread_flags_rejected(self, argv, capsys, tmp_path,
                                    monkeypatch):
@@ -346,6 +353,8 @@ class TestExitCodes:
         (["sweep-gamma", "--angle", "pi", "--tau", "13.3ps", "--delta",
           "1meV,2", "--gamma", "2ns^-1"],
          "argument --delta: missing unit suffix on energy '2'"),
+        (["frame", "--angle", "pi", "--chi", "15", "--tau", "abc"],
+         "argument --tau: cannot parse time 'abc' (unit suffix required)"),
     ])
     def test_parser_message_shown(self, argv, message, capsys):
         assert run(argv) == 2
@@ -485,6 +494,14 @@ class TestExitCodes:
         assert kv["x_max"] == "0.390804588478"
         assert float(kv["rotation_angle_rad"]) == pytest.approx(math.pi,
                                                                 abs=1e-9)
+        # --chi with --tau gives the detuning chi / tau
+        assert run(["frame", "--angle", "pi", "--chi", "15", "--tau",
+                    "10ps"]) == 0
+        timed = kv_from_stdout(capsys.readouterr().out)
+        assert (timed["x_max"], timed["tau_ns"]) == (kv["x_max"], "0.01")
+        assert timed["energy_unit"] == "ns^-1"
+        assert float(timed["omega_peak"]) == pytest.approx(
+            1500.0 * float(kv["omega_peak"]), rel=1e-11)
 
     def test_physical_units_flag(self, capsys):
         rc = run(["--units", "physical", "frame", "--angle", "pi",
@@ -571,11 +588,17 @@ class TestDefaults:
                    nonadiabatic_error, sweep_error_vs_chi):
             default = inspect.signature(fn).parameters["steps_per_unit"]
             assert default.default == STEPS_PER_UNIT
-        argv = ["gate", "--angle", "pi", "--chi", "21"]
-        assert run(argv) == 0
-        implicit = capsys.readouterr().out
-        assert run(argv + ["--steps-per-unit", str(STEPS_PER_UNIT)]) == 0
-        assert capsys.readouterr().out == implicit
+        args = ramansim.cli.build_parser(ROUNDED).parse_args(
+            ["gate", "--angle", "pi", "--chi", "15"])
+        assert args.steps_per_unit == STEPS_PER_UNIT
+        # the default is a no-op on both paths, as --prefactor 0.5 is
+        for argv in (["gate", "--angle", "pi", "--chi", "21"],
+                     ["gate", "--angle", "pi", "--delta", "1meV", "--tau",
+                      "13.3ps", "--gamma0", "5ns^-1"]):
+            assert run(argv) == 0
+            implicit = capsys.readouterr().out
+            assert run(argv + ["--steps-per-unit", str(STEPS_PER_UNIT)]) == 0
+            assert capsys.readouterr().out == implicit
 
     @pytest.mark.parametrize("argv", [
         ["gate", "--angle", "pi", "--delta", "1meV", "--tau", "13.3ps",
@@ -620,6 +643,25 @@ class TestExtremeInputs:
             kv = kv_from_stdout(capsys.readouterr().out)
             out[u_b] = (kv["x_max"], kv["error"])
         assert out["1e9"] == out["40"]
+
+    @pytest.mark.parametrize("line", [
+        "gate --angle pi --delta 1meV --tau 13.3ps --gamma0 2ns^-1 "
+        "--dt 1e-9ns",
+        "gate --angle pi --chi 21 --steps-per-unit 1000000000",
+        "trace --angle pi --delta 1meV --tau 13.3ps --dt 1e-9ns -o t.csv",
+        "gate --angle pi --delta 1meV --tau 13.3ps --gamma0 2ns^-1 "
+        "--ub 1e9",
+    ])
+    def test_step_cap_refuses_before_marching(self, line, capsys, tmp_path,
+                                              monkeypatch):
+        # each would sample its drive at 8e7 to 6e11 steps, a gigabyte or
+        # more, before marching: refused from the step count alone
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        assert run(shlex.split(line)) == 2
+        assert time.perf_counter() - start < 5.0
+        assert "exceed the cap of 10000000 steps" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seeded_extreme_argv(self, capsys):
         # every outcome is a result, a configuration error or a numerical
@@ -691,6 +733,19 @@ class TestCsvOutput:
                 "-o", str(out)]
         assert run(argv) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_failed_replace_leaves_no_partial_file(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert run(["sweep-xmax", "--angle", "pi", "--chi", "10:30:10",
+                    "-o", str(tmp_path / "table.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write %s: Permission denied" % (tmp_path
+                                                           / "table.csv"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_xmax_rows(self, tmp_path):
         out = tmp_path / "xmax.csv"

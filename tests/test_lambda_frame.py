@@ -449,3 +449,14 @@ class TestDriveConfig:
             DriveConfig(detuning=1500.0, tau=0.01, x_max=0.4, beta=2.0)
         with pytest.raises(ConfigurationError):
             DriveConfig(detuning=1500.0, tau=0.01, x_max=0.4, alpha=math.nan)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["detuning", "tau", "x_max"])
+    def test_rejects_non_finite_fields(self, field, value):
+        # a non-finite drive would fail later in the march with a bare
+        # ZeroDivisionError, OverflowError or ValueError
+        fields = {"detuning": 1500.0, "tau": 0.0133, "x_max": 0.3,
+                  field: value}
+        with pytest.raises(ConfigurationError,
+                           match="%s must be .* finite" % field):
+            DriveConfig(**fields)

@@ -665,6 +665,17 @@ class TestPropagateValidation:
         with pytest.raises(ConfigurationError):
             propagate_master(rho_ground(), worked_drive, dt=0.0)
 
+    def test_step_cap(self, worked_drive, monkeypatch):
+        # the count span / dt is checked before the envelope is sampled
+        dt = (worked_drive.t_final - worked_drive.t_initial) / 2999.5
+        monkeypatch.setattr(lindblad, "_MAX_STEPS", 3000)
+        propagate_master(rho_ground(), worked_drive, dt=dt)
+        monkeypatch.setattr(lindblad, "_MAX_STEPS", 2999)
+        with pytest.raises(ConfigurationError, match="cap of 2999 steps"):
+            propagate_master(rho_ground(), worked_drive, dt=dt)
+        with pytest.raises(ConfigurationError, match="inf steps"):
+            propagate_master(rho_ground(), worked_drive, dt=5e-324)
+
     def test_rejects_negative_stride(self, worked_drive):
         with pytest.raises(ConfigurationError):
             propagate_master(rho_ground(), worked_drive, record_stride=-1)

@@ -104,10 +104,23 @@ class TestIntegrateAmplitudes:
             integrate_amplitudes(-1.0, 0.3)
         with pytest.raises(ConfigurationError):
             integrate_amplitudes(5.0, 0.3, steps_per_unit=0)
+        for steps in (math.inf, math.nan, 2.5, 10 ** 400):
+            with pytest.raises(ConfigurationError, match="steps_per_unit|cap"):
+                integrate_amplitudes(5.0, 0.3, steps_per_unit=steps)
+        with pytest.raises(ConfigurationError, match="angle must be positive"):
+            nonadiabatic_error(0.0, 20.0)
         for chi, x in (([], []), ([math.inf], [0.3]), ([10.0], [math.inf]),
                        ([math.nan], [0.3]), ([10.0], [math.nan])):
             with pytest.raises(ConfigurationError):
                 integrate_amplitudes_batch(chi, x)
+
+    def test_step_cap(self, monkeypatch):
+        # round(support * steps_per_unit) steps, checked before any node
+        # array is built: 2 400 at u_b = 3 by default
+        monkeypatch.setattr(nonadiabatic, "_MAX_STEPS", 2400)
+        integrate_amplitudes_batch(21.0, 0.3)
+        with pytest.raises(ConfigurationError, match="cap of 2400 steps"):
+            integrate_amplitudes_batch(21.0, 0.3, steps_per_unit=801)
 
     def test_guard_trips_on_nan_steps(self):
         # 4 x_max^2 overflows, and inf * f^2 = nan where f^2 underflows:

@@ -41,6 +41,10 @@ class TestFits:
             fit_linear_through_origin([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ConfigurationError):
             fit_inverse([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ConfigurationError, match="all x values are zero"):
+            fit_linear_through_origin([0.0, 0.0], [1.0, 2.0])
+        with pytest.raises(ConfigurationError, match="matching points"):
+            fit_inverse([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestSweepXmax:
@@ -120,6 +124,22 @@ class TestSweepErrorVsChi:
         direct = gate_error_mixed(drive, decay)
         assert row[4] == pytest.approx(direct, rel=1e-12, abs=0)
         assert row[6] == pytest.approx(row[4] / row[5], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"dt": 1e-5}, "dt is not read without decay"),
+        ({"decay": DecayConfig(prefactor=1.0)},
+         "prefactor is not read without decay"),
+        ({"decay": DecayConfig(gamma0=5.0), "detuning": 1500.0,
+          "steps_per_unit": 1600}, "steps_per_unit is not read with decay"),
+        ({"decay": DecayConfig(gamma0=5.0), "detuning": 1500.0,
+          "steps_per_unit": 7}, "steps_per_unit is not read with decay"),
+    ])
+    def test_unread_inputs_rejected(self, kwargs, message, monkeypatch):
+        # refused before any calibration, as the CLI refuses the flags
+        monkeypatch.setattr(ramansim.sweeps, "solve_xmax", None)
+        monkeypatch.setattr(ramansim.sweeps, "_calibrated_gates", None)
+        with pytest.raises(ConfigurationError, match=message):
+            sweep_error_vs_chi(math.pi, [20.0], **kwargs)
 
     def test_decay_zero_angle_ratio_is_nan(self):
         # a zero estimate gives a nan ratio, as in the (Delta, gamma) grids
@@ -324,6 +344,8 @@ class TestRatioGrid:
         # the percent-level guard divides by the smallest detuning
         with pytest.raises(ConfigurationError, match="detunings must be"):
             ratio_grid([2.0], [0.0, 1500.0], math.pi, 0.014)
+        with pytest.raises(ConfigurationError, match="tau must be positive"):
+            ratio_grid([2.0], [1500.0], math.pi, 0.0)
 
 
 class TestGridOrder:
